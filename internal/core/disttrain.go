@@ -244,22 +244,6 @@ func buildScene(rc *RealComputeConfig) (*ffn.Volume, *ffn.Volume) {
 	return img, lbl
 }
 
-// trainingCenters lists in-bounds FOV centers split by label polarity.
-func trainingCenters(lbl *ffn.Volume, fov [3]int) (pos, neg [][3]int) {
-	for z := fov[0] / 2; z+fov[0]/2 < lbl.D; z++ {
-		for y := fov[1] / 2; y+fov[1]/2 < lbl.H; y++ {
-			for x := fov[2] / 2; x+fov[2]/2 < lbl.W; x++ {
-				if lbl.At(z, y, x) > 0.5 {
-					pos = append(pos, [3]int{z, y, x})
-				} else {
-					neg = append(neg, [3]int{z, y, x})
-				}
-			}
-		}
-	}
-	return pos, neg
-}
-
 // extractVolumeFOV copies a FOV around center c into a (1,D,H,W) tensor.
 func extractVolumeFOV(v *ffn.Volume, fov [3]int, c [3]int) *tensor.Tensor {
 	out := tensor.New(1, fov[0], fov[1], fov[2])

@@ -2,20 +2,18 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"chaseci/internal/api"
 	"chaseci/internal/queue"
 	"chaseci/internal/sched"
 )
 
-// Cluster mode: instead of one global pending queue drained by an anonymous
-// pool, each fabric node runs its own worker pool over a node-scoped
-// weighted-fair queue, and the sched.Scheduler decides which queue a job
-// lands on by data gravity. Node loss drains the node's pool and requeues
-// its jobs through placement against the surviving replicas.
+// Node pools are the Runner's only dispatch unit. A single-node runner has
+// one pool and no scheduler. In cluster mode each fabric node runs its own
+// pool, and the sched.Scheduler decides which pool a job lands on by data
+// gravity. Node loss drains the node's pool and requeues its jobs through
+// placement against the surviving replicas.
 
 // NodePendingKey is the store list previous runner generations used as a
 // node's dispatch queue; the current generation dispatches from in-memory
@@ -23,10 +21,10 @@ import (
 // see drainOrphans).
 func NodePendingKey(node string) string { return "jobs:pending:" + node }
 
-// nodePool is one node's worker pool. Its context is a child of the
-// runner's, so Close stops every pool; DrainNode stops just this one. fq is
-// the node's weighted-fair pending queue, so tenant fairness holds per
-// node just as it does on the single-node runner.
+// nodePool is one node's worker pool (node is "" for a single-node
+// runner's pool). Its context is a child of the runner's, so Close stops
+// every pool; DrainNode stops just this one. fq is the pool's weighted-fair
+// pending queue, so tenant fairness holds per pool.
 type nodePool struct {
 	node string
 	fq   *fairQueue
@@ -35,8 +33,17 @@ type nodePool struct {
 	stop context.CancelFunc
 }
 
-// NewClusterRunner builds a Runner that places jobs on the fabric instead of
-// a global queue. workersPerNode <= 0 defaults to 2. The fabric's dataset
+// push enqueues j and wakes one of the pool's workers.
+func (p *nodePool) push(j *job) {
+	p.fq.Push(j.owner, j.id)
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// NewClusterRunner builds a Runner that places jobs on the fabric's node
+// pools. workersPerNode <= 0 defaults to 2. The fabric's dataset
 // manager becomes the runner's data plane, so submitted refs and OSD
 // replica placement live in the same store the scheduler scores against.
 func NewClusterRunner(reg *Registry, store *queue.Store, workersPerNode int, fab *sched.Fabric) *Runner {
@@ -47,59 +54,29 @@ func NewClusterRunner(reg *Registry, store *queue.Store, workersPerNode int, fab
 // admission, and fairness configuration (cfg.Workers is the per-node pool
 // size; cfg.Datasets is ignored — the fabric's data plane always wins).
 func NewClusterRunnerConfigured(reg *Registry, store *queue.Store, fab *sched.Fabric, cfg RunnerConfig) *Runner {
-	workersPerNode := cfg.Workers
-	if workersPerNode <= 0 {
-		workersPerNode = 2
-	}
-	r := newRunnerCore(reg, store, fab.Datasets, cfg)
-	r.workers = 0 // no global pool; per-node pools below
+	r := newRunnerCore(reg, store, fab.Datasets, cfg, 2)
 	r.sched = sched.New(fab)
-	r.poolWorkers = workersPerNode
-	r.pools = make(map[string]*nodePool)
 	r.drains = make(map[string]bool)
-	r.wake = make(chan struct{}, 1)
 	r.sched.OnBind(r.onBind)
 	r.sched.OnDrain(r.onDrain)
-	r.sched.OnRestore(r.onRestore)
-	r.drainOrphans()
 	for _, node := range fab.NodeNames() {
-		r.drainNodeOrphans(node)
+		r.drainOrphans(NodePendingKey(node))
 		r.pools[node] = r.startPool(node)
 	}
 	return r
 }
 
-// drainNodeOrphans applies drainOrphans' logic to one node-scoped list.
-func (r *Runner) drainNodeOrphans(node string) {
-	for {
-		id, ok := r.store.RPop(NodePendingKey(node))
-		if !ok {
-			return
-		}
-		rec, ok := r.store.Get(JobKey(id))
-		if !ok {
-			continue
-		}
-		var st api.JobStatus
-		if json.Unmarshal([]byte(rec), &st) != nil || st.State.Terminal() {
-			continue
-		}
-		st.State = api.StateFailed
-		st.Error = "orphaned: runner restarted before execution"
-		st.FinishedAt = time.Now().UnixNano()
-		if raw, err := json.Marshal(st); err == nil {
-			r.store.Set(JobKey(id), string(raw))
-		}
-	}
-}
-
-// startPool launches a node's workers. r.mu may be held by the caller; the
+// startPool launches a pool's workers. r.mu may be held by the caller; the
 // workers themselves never take it outside execute's helpers.
 func (r *Runner) startPool(node string) *nodePool {
 	ctx, stop := context.WithCancel(r.baseCtx)
 	p := &nodePool{
 		node: node,
 		fq:   newFairQueue(r.adm.weight),
+		// Buffered to the pool size so a burst of pushes wakes a worker per
+		// job instead of collapsing into one token (signals dropped beyond
+		// that are harmless: every worker is already awake and re-drains
+		// the queue before sleeping).
 		wake: make(chan struct{}, r.poolWorkers),
 		ctx:  ctx,
 		stop: stop,
@@ -119,7 +96,7 @@ func (r *Runner) poolLoop(p *nodePool) {
 			if !ok {
 				break
 			}
-			r.execute(id)
+			r.execute(p, id)
 			if p.ctx.Err() != nil {
 				return
 			}
@@ -182,30 +159,31 @@ func (r *Runner) jobVoxels(req *api.JobRequest) float64 {
 // bindJob publishes a placement decision and hands the job to the chosen
 // node's pool. If the node died between the decision and the enqueue, the
 // job is sent back through placement instead of stranding on a dead queue.
+// A restored node's pool starts with the first job bound to it: the
+// scheduler may place on the node before any restore callback could run.
 func (r *Runner) bindJob(j *job, pl *api.Placement) {
 	j.placement.Store(pl)
 	r.persist(j)
 	r.mu.Lock()
 	pool := r.pools[pl.Node]
+	if pool == nil && !r.closed && !r.drains[j.id] {
+		// No drain marker: the node is live in the scheduler, so it was
+		// restored after its pool was torn down.
+		pool = r.startPool(pl.Node)
+		r.pools[pl.Node] = pool
+	}
 	if pool != nil {
 		// Push under r.mu: the drain path deletes the pool and sweeps its
 		// queue under the same mutex discipline, so an id pushed here is
 		// either popped by a live pool or reclaimed by the drain's sweep —
 		// never stranded.
-		pool.fq.Push(j.owner, j.id)
+		pool.push(j)
 	}
 	r.mu.Unlock()
-	if pool == nil {
-		// The scheduler already unbound the job when the node died; the
-		// drain marker tells us whether this path owns the requeue.
-		if r.takeDrain(j.id) {
-			r.rePlace(j)
-		}
-		return
-	}
-	select {
-	case pool.wake <- struct{}{}:
-	default:
+	// No pool: the scheduler already unbound the job when the node died;
+	// the drain marker tells us whether this path owns the requeue.
+	if pool == nil && r.takeDrain(j.id) {
+		r.rePlace(j)
 	}
 }
 
@@ -260,16 +238,7 @@ func (r *Runner) rePlace(j *job) {
 		pl, err = r.sched.Place(j.wl)
 	}
 	if err != nil {
-		if j.state.CompareAndSwap(codeQueued, codeFailed) {
-			msg := fmt.Sprintf("placement lost after node failure: %v", err)
-			j.errMsg.Store(&msg)
-			j.finished.Store(time.Now().UnixNano())
-			r.releaseJobRefs(j)
-			r.pendingAdd(j, -1)
-			r.count("jobs_failed", j.kind)
-			r.persist(j)
-			r.sched.Release(j.id)
-		}
+		r.finishQueued(j, codeFailed, fmt.Sprintf("placement lost after node failure: %v", err), "jobs_failed")
 		return
 	}
 	if pl == nil {
@@ -338,44 +307,6 @@ func (r *Runner) onDrain(node string, ids []string) {
 	}
 }
 
-// onRestore restarts a returned node's pool.
-func (r *Runner) onRestore(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	if _, live := r.pools[node]; !live {
-		r.pools[node] = r.startPool(node)
-	}
-}
-
-// closeClusterJobs cancels every still-queued job (on node queues or
-// parked) during Close, after all pools have exited.
-func (r *Runner) closeClusterJobs() {
-	var snapshot []*job
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			snapshot = append(snapshot, j)
-		}
-		sh.mu.Unlock()
-	}
-	for _, j := range snapshot {
-		if !j.state.CompareAndSwap(codeQueued, codeCancelled) {
-			continue
-		}
-		msg := ErrClosed.Error()
-		j.errMsg.Store(&msg)
-		j.finished.Store(time.Now().UnixNano())
-		r.releaseJobRefs(j)
-		r.pendingAdd(j, -1)
-		r.persist(j)
-		r.sched.Release(j.id)
-	}
-}
-
 // --- Cluster-mode accessors (gateway / CLI surface) -------------------------
 
 // ClusterMode reports whether this runner places jobs on a fabric.
@@ -401,7 +332,8 @@ func (r *Runner) DrainNode(name string) error {
 	return r.sched.KillNode(name)
 }
 
-// RestoreNode brings a drained node (and its OSD) back.
+// RestoreNode brings a drained node (and its OSD) back; its pool restarts
+// with the first job placed there.
 func (r *Runner) RestoreNode(name string) error {
 	if r.sched == nil {
 		return fmt.Errorf("service: not a cluster runner")

@@ -44,6 +44,26 @@ func twoNodeFabric(t *testing.T) *sched.Fabric {
 	return f
 }
 
+// oneNodeFabric is the degenerate fabric: one site, one FIONA8 + OSD, no
+// replication. Everything placed on it lands on the same node pool, so it
+// exercises the cluster dispatch path with single-node queueing behaviour.
+func oneNodeFabric(t *testing.T) *sched.Fabric {
+	t.Helper()
+	f := sched.NewFabric(sched.FabricConfig{Replicas: 1})
+	f.AddSite("ucsd")
+	err := f.AddNode(sched.NodeSpec{
+		Name:     "node-0",
+		Site:     "ucsd",
+		Capacity: cluster.FIONA8Capacity(),
+		Model:    gpusim.Powered1080Ti(),
+		OSD:      "osd-ucsd",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // newClusterFixture is newGWFixture over a cluster runner.
 func newClusterFixture(t *testing.T, reg *Registry, fab *sched.Fabric) *gwFixture {
 	t.Helper()
@@ -399,5 +419,37 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 			t.Fatalf("timeout waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestTerminalStateImpliesReleasedClaims: a job's node claim (and its ref
+// pins) are released before its terminal state is published, so a caller
+// that observes every job terminal can run LeakCheck at once instead of
+// racing the runner's final bookkeeping.
+func TestTerminalStateImpliesReleasedClaims(t *testing.T) {
+	r := NewClusterRunner(DefaultRegistry(), queue.NewStore(), 2, twoNodeFabric(t))
+	defer r.Close()
+	leaks := 0
+	var first error
+	for i := 0; i < 500; i++ {
+		st, err := r.Submit(blockingWorkflowRequest(), "anonymous")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			cur, _ := r.Status(st.ID)
+			if cur.State.Terminal() {
+				break
+			}
+		}
+		if err := r.LeakCheck(); err != nil {
+			leaks++
+			if first == nil {
+				first = err
+			}
+		}
+	}
+	if leaks > 0 {
+		t.Fatalf("LeakCheck failed right after a terminal status in %d/500 jobs; first: %v", leaks, first)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // queue therefore cannot starve a light tenant — the light tenant's few
 // jobs dequeue at their fair share no matter how deep the flood is.
 //
-// The Runner's single-node dispatch uses one fairQueue; every cluster-mode
-// node pool carries its own, so fairness holds per node queue too.
+// Every node pool carries its own fairQueue (a single-node runner has one
+// pool), so fairness holds per pool queue.
 type fairQueue struct {
 	mu sync.Mutex
 	// weight resolves a tenant's share (>= 1); nil means every tenant
@@ -101,7 +101,7 @@ func (f *fairQueue) Pop() (id string, ok bool) {
 	return id, true
 }
 
-// PopAll drains every pending id (Close and node-drain sweeps).
+// PopAll drains every pending id (the node-drain sweep).
 func (f *fairQueue) PopAll() []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -1,9 +1,10 @@
 // Package service executes Job API requests (internal/api) against the
 // real compute kernels. A Registry maps job kinds to handlers; a Runner
-// owns a pool of worker goroutines that drain a weighted-fair pending
-// queue, execute each job under a cancellable context.Context with
-// kernel-reported progress, and persist every state transition back into
-// the queue.Store — the same simulated-Redis substrate the paper's
+// dispatches through node pools (worker goroutines draining a weighted-fair
+// pending queue; one pool on a single-node runner, one per fabric node on a
+// cluster runner), executes each job under a cancellable context.Context
+// with kernel-reported progress, and persists every state transition back
+// into the queue.Store — the same simulated-Redis substrate the paper's
 // download step uses, so job records survive in the store whether the
 // Runner is fronted by the chased HTTP gateway, the line-protocol
 // queue.Server, or both.
@@ -12,14 +13,14 @@
 // polls, submits, and terminal transitions on different jobs never contend
 // on one mutex; admission control (admission.go) bounds per-tenant and
 // global pending queues and sheds with ErrOverloaded instead of growing
-// without bound; dispatch order is weighted-fair across tenants
-// (fairqueue.go) so a flooding identity cannot starve a light one.
+// without bound; dispatch order is weighted-fair across tenants within each
+// pool (fairqueue.go) so a flooding identity cannot starve a light one.
 //
 // Concurrency model: the Runner is fully concurrent (real goroutines, real
 // wall time), while the reused internal/metrics registry is built for the
 // single-threaded simulation — so the Runner privately drives a sim.Clock
 // pinned to wall-elapsed time and serializes every metrics touch behind
-// its own mutex. Lock ordering: r.mu (cluster control plane) and shard
+// its own mutex. Lock ordering: r.mu (pool control plane) and shard
 // mutexes are never held together; the fair queues' internal mutexes are
 // leaves.
 package service
@@ -46,8 +47,8 @@ import (
 // Store keys used for job persistence.
 const (
 	// PendingKey is the store list previous runner generations used as
-	// their dispatch queue. The current generation dispatches from the
-	// in-memory fair queue, but still drains this list at startup so
+	// their dispatch queue. The current generation dispatches from
+	// in-memory pool queues, but still drains this list at startup so
 	// records orphaned by an older generation (or a crash) are failed
 	// rather than left "queued" forever.
 	PendingKey = "jobs:pending"
@@ -195,12 +196,14 @@ type job struct {
 }
 
 // JobContext is a running handler's view of its job: the cancellation
-// context, progress reporting, and the data plane.
+// context, progress reporting, and the data plane. pool is the pool whose
+// worker runs the job (a job that waits on child jobs helps drain it).
 type JobContext struct {
 	ctx      context.Context
 	job      *job
 	datasets *dataset.Manager
 	runner   *Runner
+	pool     *nodePool
 }
 
 // Ctx returns the job's cancellation context. Handlers must pass it to the
@@ -234,8 +237,9 @@ func (jc *JobContext) Progress(done, total int64, stage string) {
 // use. The zero value of every field means "default"; negative bounds mean
 // unlimited.
 type RunnerConfig struct {
-	// Workers is the worker pool size: the global pool on single-node
-	// runners, per node on cluster runners (<= 0 defaults to 4 / 2).
+	// Workers is the worker count of each pool: the one pool of a
+	// single-node runner, or each fabric node's pool on a cluster runner
+	// (<= 0 defaults to 4 / 2).
 	Workers int
 	// Datasets is the content-addressed data plane (nil = a private local
 	// store; cluster runners always use the fabric's).
@@ -265,18 +269,19 @@ func (cfg RunnerConfig) bound(v, def int) int {
 	}
 }
 
-// Runner executes submitted jobs on a fixed worker pool.
+// Runner executes submitted jobs on fixed-size node pools.
 type Runner struct {
 	reg      *Registry
 	store    *queue.Store
-	workers  int
 	datasets *dataset.Manager
 
-	// Cluster mode (nil/empty on single-node runners): sched places jobs on
-	// fabric nodes, pools holds one worker pool per live node, and drains
-	// marks jobs knocked off a lost node so exactly one path requeues each.
-	sched       *sched.Scheduler
+	// poolWorkers sizes every pool. A single-node runner dispatches through
+	// local alone. In cluster mode (local nil) sched places jobs on fabric
+	// nodes, pools holds one pool per live node, and drains marks jobs
+	// knocked off a lost node so exactly one path requeues each.
 	poolWorkers int
+	local       *nodePool
+	sched       *sched.Scheduler
 
 	// retries is the transient-error retry loop's policy + jitter stream.
 	retries *retryState
@@ -291,14 +296,12 @@ type Runner struct {
 	evictMu   sync.Mutex
 	evicted   evictFIFO // ids evicted from memory whose store records remain
 
-	// Admission control + weighted-fair dispatch. pending is the
-	// single-node dispatch queue (cluster pools carry their own).
+	// Admission control (the pools carry the weighted-fair queues).
 	adm     *admission
-	pending *fairQueue
 	streams atomic.Int64 // live NDJSON event streams (gateway-reported)
 
-	// mu guards the cluster control plane only (pools, drains, closed for
-	// restore/bind races); never held together with a shard mutex.
+	// mu guards the pool control plane (pools, drains, closed for
+	// bind races); never held together with a shard mutex.
 	mu     sync.Mutex
 	pools  map[string]*nodePool
 	drains map[string]bool
@@ -312,7 +315,6 @@ type Runner struct {
 	gauges     map[string]*metrics.Gauge
 	tenantSeen map[string]bool
 
-	wake    chan struct{}
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
@@ -335,35 +337,23 @@ func NewRunnerWithDatasets(reg *Registry, store *queue.Store, workers int, ds *d
 }
 
 // NewRunnerConfigured builds and starts a single-node Runner with explicit
-// sharding, admission, and fairness configuration.
+// sharding, admission, and fairness configuration: one node pool with no
+// scheduler in front of it.
 func NewRunnerConfigured(reg *Registry, store *queue.Store, cfg RunnerConfig) *Runner {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
 	ds := cfg.Datasets
 	if ds == nil {
 		ds = dataset.NewLocal()
 	}
-	r := newRunnerCore(reg, store, ds, cfg)
-	r.workers = workers
-	// Buffered to the pool size so a burst of submits wakes a worker
-	// per job instead of collapsing into one token (signals dropped
-	// beyond that are harmless: every worker is already awake and
-	// re-drains the queue before sleeping).
-	r.wake = make(chan struct{}, workers)
-	r.drainOrphans()
-	r.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go r.workerLoop()
-	}
+	r := newRunnerCore(reg, store, ds, cfg, 4)
+	r.local = r.startPool("")
 	return r
 }
 
 // newRunnerCore builds the fields shared by single-node and cluster
-// runners: the sharded registry, admission control, fair queue, metrics
-// substrate, and lifecycle context.
-func newRunnerCore(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg RunnerConfig) *Runner {
+// runners: the sharded registry, admission control, metrics substrate, and
+// lifecycle context. It drains the legacy global pending list; defWorkers
+// is the pool size when cfg.Workers is unset.
+func newRunnerCore(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg RunnerConfig, defWorkers int) *Runner {
 	baseCtx, stop := context.WithCancel(context.Background())
 	mclk := newWallClock()
 	adm := newAdmission(
@@ -376,6 +366,7 @@ func newRunnerCore(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg R
 		reg:        reg,
 		store:      store,
 		datasets:   ds,
+		pools:      make(map[string]*nodePool),
 		retries:    newRetryState(),
 		shards:     shards,
 		shardMask:  uint32(len(shards) - 1),
@@ -388,19 +379,23 @@ func newRunnerCore(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg R
 		baseCtx:    baseCtx,
 		stop:       stop,
 	}
-	r.pending = newFairQueue(adm.weight)
+	r.poolWorkers = defWorkers
+	if cfg.Workers > 0 {
+		r.poolWorkers = cfg.Workers
+	}
 	r.retain.Store(maxRetainedJobs)
+	r.drainOrphans(PendingKey)
 	return r
 }
 
-// drainOrphans clears pending ids left behind by a previous runner
-// generation sharing this store. Job specs are not persisted — only
+// drainOrphans clears the pending ids a previous runner generation sharing
+// this store left on the list at key. Job specs are not persisted — only
 // status records are — so an orphaned job cannot be re-executed; its
 // stored record is flipped to failed rather than staying "queued"
 // forever.
-func (r *Runner) drainOrphans() {
+func (r *Runner) drainOrphans(key string) {
 	for {
-		id, ok := r.store.RPop(PendingKey)
+		id, ok := r.store.RPop(key)
 		if !ok {
 			return
 		}
@@ -421,17 +416,18 @@ func (r *Runner) drainOrphans() {
 	}
 }
 
-// Close stops the worker pool: running jobs are cancelled through their
-// contexts, and jobs still pending (including one a racing Submit lands
-// after the closed check) are marked cancelled rather than stranded
-// "queued" forever — specs are not persisted, so no later generation
-// could execute them. Close blocks until every worker has exited.
+// Close stops every pool: running jobs are cancelled through their
+// contexts, and jobs still queued (on a pool queue or parked by the
+// scheduler, including one a racing Submit lands after the closed check)
+// are marked cancelled rather than stranded "queued" forever — specs are
+// not persisted, so no later generation could execute them. Close blocks
+// until every worker has exited.
 func (r *Runner) Close() {
 	// Flip the control-plane flag first so node pools cannot be recreated
-	// by a racing restore while the wait group is draining, then every
+	// by a racing bind while the wait group is draining, then every
 	// shard's flag under its own mutex: a Submit holding a shard lock
-	// either observes closed (and refuses) or completed its insert+enqueue
-	// beforehand, in which case the drain below sees it.
+	// either observes closed (and refuses) or completed its insert
+	// beforehand, in which case the sweep below sees it.
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
@@ -443,27 +439,46 @@ func (r *Runner) Close() {
 	}
 	r.stop()
 	r.wg.Wait()
-	for _, id := range r.pending.PopAll() {
-		j := r.lookupJob(id)
-		if j == nil || !j.state.CompareAndSwap(codeQueued, codeCancelled) {
-			continue
+	var queued []*job
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.Lock()
+		for _, j := range sh.jobs {
+			queued = append(queued, j)
 		}
-		msg := ErrClosed.Error()
-		j.errMsg.Store(&msg)
-		j.finished.Store(time.Now().UnixNano())
-		r.releaseJobRefs(j)
-		r.pendingAdd(j, -1)
-		r.persist(j)
+		sh.mu.Unlock()
 	}
-	if r.sched != nil {
-		r.closeClusterJobs()
+	for _, j := range queued {
+		r.finishQueued(j, codeCancelled, ErrClosed.Error(), "")
 	}
 }
 
+// finishQueued moves a job that never started from queued straight to a
+// terminal state (Cancel, Close's sweep, a failed re-placement). The CAS
+// makes exactly one caller own the transition; the owner repays the
+// job's pins, pending count and node claim, and bumps metric unless it is
+// empty. It reports whether this caller owned the transition.
+func (r *Runner) finishQueued(j *job, code int32, msg, metric string) bool {
+	if !j.state.CompareAndSwap(codeQueued, code) {
+		return false
+	}
+	j.errMsg.Store(&msg)
+	j.finished.Store(time.Now().UnixNano())
+	r.releaseJobRefs(j)
+	r.pendingAdd(j, -1)
+	if metric != "" {
+		r.count(metric, j.kind)
+	}
+	r.persist(j)
+	if r.sched != nil {
+		r.sched.Release(j.id)
+	}
+	return true
+}
+
 // releaseJobRefs unpins the job's source datasets. Exactly one terminal
-// transition calls it per job — execute's completion, Cancel's
-// queued→cancelled CAS, or Close's pending drain — so each submit-time
-// Pin is matched by one Unpin.
+// transition calls it per job — execute's completion or finishQueued — so
+// each submit-time Pin is matched by one Unpin.
 func (r *Runner) releaseJobRefs(j *job) {
 	for _, ref := range j.refs {
 		r.datasets.Unpin(ref)
@@ -472,7 +487,7 @@ func (r *Runner) releaseJobRefs(j *job) {
 }
 
 // Submit validates req, reserves admission for its tenant, persists it as
-// a queued job, and wakes the worker pool. owner is the authenticated
+// a queued job, and hands it to a pool. owner is the authenticated
 // identity recorded on the job; when its pending bound (or the global one)
 // is full the submit sheds with an error unwrapping to ErrOverloaded.
 func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error) {
@@ -526,10 +541,9 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 	j.state.Store(codeQueued)
 	j.submitted.Store(time.Now().UnixNano())
 
-	// Insert and enqueue under the job's shard mutex — the same one Close
-	// flips the shard's closed flag under — so a job is either refused or
-	// visible to Close's pending drain, never stranded queued with no
-	// worker left to pop it.
+	// Insert under the job's shard mutex — the same one Close flips the
+	// shard's closed flag under — so a job is either refused or visible to
+	// Close's sweep, never stranded queued with no worker left to pop it.
 	sh := r.shardFor(j.id)
 	sh.mu.Lock()
 	if sh.closed {
@@ -550,8 +564,7 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 	if r.sched != nil {
 		// Place while holding the shard lock: Place never dispatches
 		// callbacks on this path, and the lock serializes against Close's
-		// closed flip so a placed job is always visible to Close's
-		// sched-mode drain.
+		// closed flip so a placed job is always visible to Close's sweep.
 		j.wl = r.workloadFor(j)
 		var perr error
 		pl, perr = r.sched.Place(j.wl)
@@ -568,26 +581,27 @@ func (r *Runner) Submit(req *api.JobRequest, owner string) (api.JobStatus, error
 			r.adm.add(owner, -1)
 			return api.JobStatus{}, perr
 		}
-	} else {
-		r.pending.Push(owner, j.id)
 	}
 	sh.mu.Unlock()
 
 	r.count("jobs_submitted", j.kind)
 	r.pendingGauges(j, +1)
-	if r.sched != nil {
-		if pl != nil {
-			r.bindJob(j, pl)
-		}
-		// pl == nil: parked — the scheduler's OnBind callback delivers it to
-		// a node pool once capacity frees up.
-	} else {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
+	// Snapshot before a pool can see the job, so the caller gets the
+	// submit-time status (queued, placed) rather than a worker's progress.
+	// (A parked job's placement is left to OnBind, which may already run.)
+	if pl != nil {
+		j.placement.Store(pl)
 	}
-	return r.statusOf(j), nil
+	st := r.statusOf(j)
+	switch {
+	case r.local != nil:
+		r.local.push(j)
+	case pl != nil:
+		r.bindJob(j, pl)
+	}
+	// Otherwise parked: the scheduler's OnBind callback delivers the job to
+	// a node pool once capacity frees up.
+	return st, nil
 }
 
 // Status returns a job's poll snapshot. The path is allocation-free: a
@@ -656,10 +670,14 @@ func (r *Runner) List() []api.JobStatus {
 func (r *Runner) Result(id string) (json.RawMessage, api.JobStatus, bool) {
 	j := r.lookupJob(id)
 	if j != nil {
+		// Status first: execute records the payload before it publishes a
+		// terminal state, so a terminal snapshot taken here guarantees the
+		// payload read below is complete.
+		st := r.statusOf(j)
 		j.mu.Lock()
 		raw := j.result
 		j.mu.Unlock()
-		return raw, r.statusOf(j), true
+		return raw, st, true
 	}
 	st, ok := r.Lookup(id)
 	if !ok {
@@ -682,17 +700,7 @@ func (r *Runner) Cancel(id string) bool {
 	// requeue path must not resurrect a job whose context died because the
 	// user cancelled it (vs. because its node drained).
 	j.userCancel.Store(true)
-	if j.state.CompareAndSwap(codeQueued, codeCancelled) {
-		msg := "cancelled before start"
-		j.errMsg.Store(&msg)
-		j.finished.Store(time.Now().UnixNano())
-		r.releaseJobRefs(j)
-		r.pendingAdd(j, -1)
-		r.count("jobs_cancelled", j.kind)
-		r.persist(j)
-		if r.sched != nil {
-			r.sched.Release(id)
-		}
+	if r.finishQueued(j, codeCancelled, "cancelled before start", "jobs_cancelled") {
 		return true
 	}
 	// Not queued, so execute() already registered the cancel func (it does
@@ -735,36 +743,18 @@ func (r *Runner) statusOf(j *job) api.JobStatus {
 // persist writes the job's status snapshot into the store. Progress fields
 // are persisted at transition points, not on every kernel callback; live
 // progress is served from memory.
-func (r *Runner) persist(j *job) {
-	raw, err := json.Marshal(r.statusOf(j))
+func (r *Runner) persist(j *job) { r.persistStatus(r.statusOf(j)) }
+
+func (r *Runner) persistStatus(st api.JobStatus) {
+	raw, err := json.Marshal(st)
 	if err != nil {
 		return // JobStatus is a flat struct; cannot happen
 	}
-	r.store.Set(JobKey(j.id), string(raw))
+	r.store.Set(JobKey(st.ID), string(raw))
 }
 
-func (r *Runner) workerLoop() {
-	defer r.wg.Done()
-	for {
-		for {
-			id, ok := r.pending.Pop()
-			if !ok {
-				break
-			}
-			r.execute(id)
-			if r.baseCtx.Err() != nil {
-				return
-			}
-		}
-		select {
-		case <-r.baseCtx.Done():
-			return
-		case <-r.wake:
-		}
-	}
-}
-
-func (r *Runner) execute(id string) {
+// execute runs one job popped from pool p's queue on the calling goroutine.
+func (r *Runner) execute(p *nodePool, id string) {
 	j := r.lookupJob(id)
 	if j == nil {
 		return // foreign id enqueued out of band
@@ -805,7 +795,7 @@ func (r *Runner) execute(id string) {
 	}
 
 	h, _ := r.reg.Handler(j.kind)
-	res, err := r.runWithRetry(h, &JobContext{ctx: ctx, job: j, datasets: r.datasets, runner: r})
+	res, err := r.runWithRetry(h, &JobContext{ctx: ctx, job: j, datasets: r.datasets, runner: r, pool: p})
 	cancel()
 	sh.mu.Lock()
 	delete(sh.cancels, id)
@@ -845,22 +835,27 @@ func (r *Runner) execute(id string) {
 		msg := err.Error()
 		j.errMsg.Store(&msg)
 	}
-	j.state.Store(final)
-	j.finished.Store(time.Now().UnixNano())
+	// Finish the bookkeeping — pins, node claim, metrics, retention prune,
+	// the store record — before publishing the terminal state: a caller
+	// that sees a job terminal may LeakCheck, count retained jobs, or read
+	// the store at once.
 	r.releaseJobRefs(j)
-	r.gaugeAdd("jobs_running", j.kind, -1)
-	r.count(metric, j.kind)
-	r.observeDuration(j)
-	r.persist(j)
 	if r.sched != nil {
 		r.sched.Release(id)
 	}
-
+	r.gaugeAdd("jobs_running", j.kind, -1)
+	r.count(metric, j.kind)
+	j.finished.Store(time.Now().UnixNano())
+	r.observeDuration(j)
 	// The spec (which may hold a large inline volume) is dead weight once
-	// the job is terminal; only the executor touches req, so the plain
-	// write is safe.
+	// the job finishes; only the executor touches req, so the plain write
+	// is safe.
 	j.req = nil
 	r.pruneIfNeeded()
+	st := r.statusOf(j)
+	st.State = stateNames[final]
+	r.persistStatus(st)
+	j.state.Store(final)
 }
 
 // runHandler isolates handler panics: a gateway must not die because one

@@ -3,7 +3,10 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,72 +334,150 @@ func TestAllKindsEndToEndInProcess(t *testing.T) {
 	assertNoLeaks(t, r)
 }
 
-// TestRunnerRestartOnSharedStore: a new runner generation over a reused
-// store must not resurrect or clobber the previous generation's records —
-// orphaned pending jobs flip to failed, and job ids keep counting from
-// the store's sequence.
+// runnerKind is one Runner constructor at one worker (per node), paired
+// with the legacy pending list its orphan drain reads.
+type runnerKind struct {
+	name       string
+	pendingKey string
+	build      func(*testing.T, *Registry, *queue.Store) *Runner
+}
+
+// runnerKinds covers both constructors: the single-node runner, and a
+// cluster runner on a one-node fabric.
+var runnerKinds = []runnerKind{
+	{"single-node", PendingKey, func(_ *testing.T, reg *Registry, store *queue.Store) *Runner {
+		return NewRunner(reg, store, 1)
+	}},
+	{"cluster", NodePendingKey("node-0"), func(t *testing.T, reg *Registry, store *queue.Store) *Runner {
+		return NewClusterRunner(reg, store, 1, oneNodeFabric(t))
+	}},
+}
+
+// TestCloseCancelsPendingJobs: Close marks a job still queued behind a busy
+// pool cancelled, in memory and in the store, instead of stranding it.
 func TestCloseCancelsPendingJobs(t *testing.T) {
-	store := queue.NewStore()
-	reg := NewRegistry()
-	reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
-		<-jc.Ctx().Done() // runs until the runner closes
-		return struct{}{}, nil
-	})
-	r := NewRunner(reg, store, 1)
-	first, err := r.Submit(blockingWorkflowRequest(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, r, first.ID, func(s api.JobStatus) bool { return s.State == api.StateRunning })
-	// The only worker is occupied, so this stays pending until Close.
-	stuck, err := r.Submit(blockingWorkflowRequest(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	if st, _ := r.Status(stuck.ID); st.State != api.StateCancelled {
-		t.Fatalf("pending job state after Close = %s, want cancelled", st.State)
-	}
-	if store.LLen(PendingKey) != 0 {
-		t.Fatalf("pending list not drained by Close: %d entries", store.LLen(PendingKey))
-	}
-	if rec, ok := store.Get(JobKey(stuck.ID)); !ok || !strings.Contains(rec, `"cancelled"`) {
-		t.Fatalf("store record = %q, ok=%v", rec, ok)
+	for _, rk := range runnerKinds {
+		t.Run(rk.name, func(t *testing.T) {
+			store := queue.NewStore()
+			reg := NewRegistry()
+			reg.Register(api.KindWorkflow, func(jc *JobContext) (any, error) {
+				<-jc.Ctx().Done() // runs until the runner closes
+				return struct{}{}, nil
+			})
+			r := rk.build(t, reg, store)
+			first, err := r.Submit(blockingWorkflowRequest(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, r, first.ID, func(s api.JobStatus) bool { return s.State == api.StateRunning })
+			// The only worker is occupied, so this stays pending until Close.
+			stuck, err := r.Submit(blockingWorkflowRequest(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+			if st, _ := r.Status(stuck.ID); st.State != api.StateCancelled {
+				t.Fatalf("pending job state after Close = %s, want cancelled", st.State)
+			}
+			if store.LLen(rk.pendingKey) != 0 {
+				t.Fatalf("pending list not drained by Close: %d entries", store.LLen(rk.pendingKey))
+			}
+			if rec, ok := store.Get(JobKey(stuck.ID)); !ok || !strings.Contains(rec, `"cancelled"`) {
+				t.Fatalf("store record = %q, ok=%v", rec, ok)
+			}
+			if err := r.LeakCheck(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestRunnerRestartOnSharedStore: a new runner generation over a store
 // left behind by a crashed one (pending id + queued record, no Close)
-// must not resurrect or clobber the old records.
+// must not resurrect or clobber the old records — orphaned pending jobs
+// flip to failed, and job ids keep counting from the store's sequence.
 func TestRunnerRestartOnSharedStore(t *testing.T) {
-	store := queue.NewStore()
-	// Manufacture the crash leftovers: the seq counter, a queued status
-	// record, and its pending-list entry.
-	store.Incr(seqKey, 3)
-	ghost := api.JobStatus{ID: "job-000002", Kind: api.KindSegment, State: api.StateQueued}
-	raw, _ := json.Marshal(ghost)
-	store.Set(JobKey(ghost.ID), string(raw))
-	store.LPush(PendingKey, ghost.ID)
+	for _, rk := range runnerKinds {
+		t.Run(rk.name, func(t *testing.T) {
+			store := queue.NewStore()
+			// Manufacture the crash leftovers: the seq counter, a queued
+			// status record, and its pending-list entry.
+			store.Incr(seqKey, 3)
+			ghost := api.JobStatus{ID: "job-000002", Kind: api.KindSegment, State: api.StateQueued}
+			raw, _ := json.Marshal(ghost)
+			store.Set(JobKey(ghost.ID), string(raw))
+			store.LPush(rk.pendingKey, ghost.ID)
 
-	r := NewRunner(DefaultRegistry(), store, 1)
-	t.Cleanup(r.Close)
-	rec, ok := store.Get(JobKey(ghost.ID))
-	if !ok || !strings.Contains(rec, `"failed"`) || !strings.Contains(rec, "orphaned") {
-		t.Fatalf("orphaned record = %q, ok=%v", rec, ok)
+			r := rk.build(t, DefaultRegistry(), store)
+			t.Cleanup(r.Close)
+			rec, ok := store.Get(JobKey(ghost.ID))
+			if !ok || !strings.Contains(rec, `"failed"`) || !strings.Contains(rec, "orphaned") {
+				t.Fatalf("orphaned record = %q, ok=%v", rec, ok)
+			}
+			if store.LLen(rk.pendingKey) != 0 {
+				t.Fatalf("pending list not drained: %d entries", store.LLen(rk.pendingKey))
+			}
+			// New ids continue from the store counter instead of overwriting
+			// the previous generation's records.
+			st, err := r.Submit(tinySegmentRequest(), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ID != "job-000004" {
+				t.Fatalf("id = %s, want job-000004 (sequence continues)", st.ID)
+			}
+			waitState(t, r, st.ID, terminal)
+		})
 	}
-	if store.LLen(PendingKey) != 0 {
-		t.Fatalf("pending list not drained: %d entries", store.LLen(PendingKey))
+}
+
+// TestResultNeverSucceededWithoutPayload: Result's status and payload
+// must be one consistent read — a caller that sees "succeeded" always gets
+// the result bytes, even when the job finishes between the two reads.
+func TestResultNeverSucceededWithoutPayload(t *testing.T) {
+	r, _ := newTestRunner(t, DefaultRegistry(), 4)
+	const jobs, spinners = 2000, 4
+	var empty atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, spinners)
+	for g := 0; g < spinners; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spins := 0
+			for i := 0; i < jobs/spinners; i++ {
+				st, err := r.Submit(blockingWorkflowRequest(), "")
+				if err != nil {
+					errs <- err
+					return
+				}
+				for {
+					raw, cur, _ := r.Result(st.ID)
+					if !cur.State.Terminal() {
+						// Spin hard so Result calls straddle the finish, but
+						// yield now and then so a box with fewer CPUs than
+						// spinners still runs the workers.
+						if spins++; spins%1024 == 0 {
+							runtime.Gosched()
+						}
+						continue
+					}
+					if cur.State == api.StateSucceeded && len(raw) == 0 {
+						empty.Add(1)
+					}
+					break
+				}
+			}
+		}()
 	}
-	// New ids continue from the store counter instead of overwriting the
-	// previous generation's records.
-	st, err := r.Submit(tinySegmentRequest(), "")
-	if err != nil {
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	if st.ID != "job-000004" {
-		t.Fatalf("id = %s, want job-000004 (sequence continues)", st.ID)
+	if n := empty.Load(); n > 0 {
+		t.Fatalf("Result reported succeeded with an empty payload %d/%d times", n, jobs)
 	}
-	waitState(t, r, st.ID, terminal)
 }
 
 // TestTerminalJobEviction: once the retention cap is exceeded, the

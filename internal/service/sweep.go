@@ -15,9 +15,9 @@ import (
 // candidate in the ffn.Grid cartesian product becomes a train job with a
 // held-out validation slab, submitted through the same admission-controlled
 // fair queue as everything else — a sweep enjoys no back door around tenant
-// bounds. While its children run, the sweep worker "helps": it drains the
-// pending queue like any pool worker, so a single-worker runner cannot
-// deadlock on a job that is waiting for jobs.
+// bounds. While its children run, the sweep worker "helps": it drains its
+// own pool's queue like any worker of that pool, so a single-worker pool
+// cannot deadlock on a job that is waiting for jobs.
 
 // errNoRunner marks a JobContext built without a runner (test harnesses);
 // job kinds that submit child jobs cannot run there.
@@ -44,18 +44,18 @@ func (jc *JobContext) submitChild(req *api.JobRequest) (api.JobStatus, error) {
 	}
 }
 
-// helpOnce pops one pending job and executes it inline on the calling
-// worker's goroutine. False when the pending queue is empty (or this is a
-// cluster runner, whose node pools carry their own queues).
+// helpOnce pops one pending job from the pool running the caller and
+// executes it inline on the caller's goroutine. False when that queue is
+// empty (or the context has no pool).
 func (jc *JobContext) helpOnce() bool {
-	if jc.runner == nil {
+	if jc.pool == nil {
 		return false
 	}
-	id, ok := jc.runner.pending.Pop()
+	id, ok := jc.pool.fq.Pop()
 	if !ok {
 		return false
 	}
-	jc.runner.execute(id)
+	jc.runner.execute(jc.pool, id)
 	return true
 }
 

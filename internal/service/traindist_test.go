@@ -336,6 +336,43 @@ func TestSweepSingleWorkerNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestClusterSweepSingleWorkerNoDeadlock: on a one-node fabric with one
+// worker, the sweep's children queue behind the sweep on its own node pool;
+// the sweep must help-drain that pool rather than wait on it forever.
+func TestClusterSweepSingleWorkerNoDeadlock(t *testing.T) {
+	runner := NewClusterRunner(DefaultRegistry(), queue.NewStore(), 1, oneNodeFabric(t))
+	defer runner.Close()
+	st, err := runner.Submit(&api.JobRequest{
+		Kind: api.KindSweep,
+		Sweep: &api.SweepSpec{
+			Source:        api.VolumeSource{Synth: &api.SynthSpec{NLon: 36, NLat: 24, NLev: 4, Steps: 6, Seed: 11}},
+			Threshold:     130,
+			TrainFraction: 0.67,
+			LRs:           []float32{0.01, 0.03},
+			Momentums:     []float32{0.9},
+			Features:      []int{4},
+			TrainSteps:    []int{20},
+			Seed:          5,
+		},
+	}, "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := waitState(t, runner, st.ID, terminal)
+	if status.State != api.StateSucceeded {
+		t.Fatalf("state = %s (%s)", status.State, status.Error)
+	}
+	raw, _, _ := runner.Result(st.ID)
+	var res api.SweepResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Candidates != 2 || len(res.Leaderboard) != 2 {
+		t.Fatalf("result = %+v", res)
+	}
+	assertNoLeaks(t, runner)
+}
+
 // awaitTestJob polls a runner until the job is terminal.
 func awaitTestJob(r *Runner, id string) (json.RawMessage, api.JobStatus, error) {
 	for {
