@@ -2,17 +2,20 @@
 // gateway (cmd/chased). Every analysis the paper's ecosystem runs — FFN
 // segmentation, CONNECT labelling, MERRA IVT derivation, FFN training, and
 // measured PPoDS workflows — is expressed as a JobRequest: a JSON envelope
-// carrying exactly one kind-specific spec. The package is pure schema: it
-// imports no compute kernels, so clients (and the gateway's HTTP layer) can
-// depend on it without pulling in the simulation stack. Validation is
-// strict and happens at submit time; anything that passes Validate is safe
-// to hand to internal/service for execution.
+// carrying exactly one kind-specific spec. The package is schema: its one
+// compute import is ffn, for the network geometry a NetConfig maps to and
+// the caps ffn.Config.Validate enforces on it, so the gateway and the
+// kernels share one definition of a valid network. Validation is strict
+// and happens at submit time; anything that passes Validate is safe to
+// hand to internal/service for execution.
 package api
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"chaseci/internal/ffn"
 )
 
 // Version is the API version accepted by this gateway generation. An empty
@@ -387,76 +390,54 @@ type NetConfig struct {
 	Precision string `json:"precision,omitempty"`
 }
 
-// Network geometry caps: a request cannot ask for a network whose scratch
-// buffers dwarf the volume cap (maxFOV^3 voxels x maxFeatures channels is
-// ~70 MB f32 per activation tensor at the extremes).
-const (
-	maxFOV        = 65
-	maxFeatures   = 256
-	maxModules    = 16
-	maxFloodBatch = 256
-	// maxScratchElems bounds one batched-scratch activation tensor
-	// (FloodBatch x Features x FOV voxels): 64M float32 = 256 MB, the
-	// same ceiling maxVoxels puts on request volumes.
-	maxScratchElems = 64 << 20
-)
+// FFNConfig maps the overrides onto ffn.DefaultConfig: the network a job
+// with this config runs. A nil config is the default network.
+func (n *NetConfig) FFNConfig() ffn.Config {
+	cfg := ffn.DefaultConfig()
+	if n == nil {
+		return cfg
+	}
+	if n.FOV != [3]int{} {
+		cfg.FOV = n.FOV
+	}
+	if n.Features > 0 {
+		cfg.Features = n.Features
+	}
+	if n.Modules > 0 {
+		cfg.Modules = n.Modules
+	}
+	if n.MoveStep != [3]int{} {
+		cfg.MoveStep = n.MoveStep
+	}
+	if n.MoveProb > 0 {
+		cfg.MoveProb = n.MoveProb
+	}
+	if n.SegmentProb > 0 {
+		cfg.SegmentProb = n.SegmentProb
+	}
+	if n.FloodBatch > 0 {
+		cfg.FloodBatch = n.FloodBatch
+	}
+	if n.Precision != "" {
+		cfg.Precision = ffn.Precision(n.Precision)
+	}
+	return cfg
+}
 
+// validate rejects negative overrides (zero means "default", so a negative
+// value would silently fall back to it) and then the resulting network
+// against ffn.Config.Validate, the single home of the geometry caps.
 func (n *NetConfig) validate(field string) error {
 	if n == nil {
 		return nil
 	}
-	if n.FOV != [3]int{} {
-		for _, d := range n.FOV {
-			if d <= 0 || d%2 == 0 || d > maxFOV {
-				return invalidf("%s: fov dims must be positive odd <= %d, got %v", field, maxFOV, n.FOV)
-			}
-		}
+	if n.Features < 0 || n.Modules < 0 || n.FloodBatch < 0 || n.MoveProb < 0 || n.SegmentProb < 0 ||
+		n.MoveStep[0] < 0 || n.MoveStep[1] < 0 || n.MoveStep[2] < 0 {
+		return invalidf("%s: features, modules, move_step, move_prob, segment_prob and flood_batch must not be negative", field)
 	}
-	if n.Features < 0 || n.Features > maxFeatures {
-		return invalidf("%s: features must be in [0,%d]", field, maxFeatures)
-	}
-	if n.Modules < 0 || n.Modules > maxModules {
-		return invalidf("%s: modules must be in [0,%d]", field, maxModules)
-	}
-	for _, d := range n.MoveStep {
-		if d < 0 || d > maxFOV {
-			return invalidf("%s: move_step must be in [0,%d], got %v", field, maxFOV, n.MoveStep)
-		}
-	}
-	if n.MoveProb < 0 || n.MoveProb >= 1 || n.SegmentProb < 0 || n.SegmentProb >= 1 {
-		return invalidf("%s: probabilities must be in [0,1)", field)
-	}
-	if n.FloodBatch < 0 || n.FloodBatch > maxFloodBatch {
-		return invalidf("%s: flood_batch must be in [0,%d]", field, maxFloodBatch)
-	}
-	switch n.Precision {
-	case "", "f32", "int8":
-	default:
-		return invalidf("%s: precision must be \"f32\" or \"int8\", got %q", field, n.Precision)
-	}
-	// Combined batched-scratch budget: the flood scratch holds a few
-	// (FloodBatch, Features, D, H, W) activation tensors, so the three
-	// individually-capped knobs must also be bounded together — otherwise
-	// a request at every individual extreme could demand hundreds of GB.
-	// Zero-valued knobs assume the kernel defaults; a service-level test
-	// pins these literals against ffn.DefaultConfig so they cannot drift.
-	fov, feat, batch := n.FOV, n.Features, n.FloodBatch
-	if fov == [3]int{} {
-		fov = [3]int{5, 9, 9} // ffn.DefaultConfig().FOV
-	}
-	if feat == 0 {
-		feat = 8 // ffn.DefaultConfig().Features
-	}
-	if batch == 0 {
-		batch = 8 // ffn.DefaultFloodBatch
-	}
-	// Division-based like volumeVoxels, so the product can never overflow:
-	// fovVol <= maxFOV^3 and feat*batch <= maxFeatures*maxFloodBatch both
-	// fit comfortably even in 32-bit int.
-	fovVol := fov[0] * fov[1] * fov[2]
-	if fovVol > maxScratchElems/(feat*batch) {
-		return invalidf("%s: fov x features x flood_batch implies a batched scratch over the %d-element limit",
-			field, maxScratchElems)
+	cfg := n.FFNConfig()
+	if err := cfg.Validate(); err != nil {
+		return invalidf("%s: %v", field, err)
 	}
 	return nil
 }
@@ -763,13 +744,13 @@ func (s *SweepSpec) validate() error {
 		}
 	}
 	for _, f := range s.Features {
-		if f < 1 || f > maxFeatures {
-			return invalidf("sweep.features must be in [1,%d]", maxFeatures)
+		if f < 1 || f > ffn.MaxFeatures {
+			return invalidf("sweep.features must be in [1,%d]", ffn.MaxFeatures)
 		}
 	}
 	for _, m := range s.Modules {
-		if m < 1 || m > maxModules {
-			return invalidf("sweep.modules must be in [1,%d]", maxModules)
+		if m < 1 || m > ffn.MaxModules {
+			return invalidf("sweep.modules must be in [1,%d]", ffn.MaxModules)
 		}
 	}
 	for _, st := range s.TrainSteps {

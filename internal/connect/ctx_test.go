@@ -3,6 +3,7 @@ package connect
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"chaseci/internal/parallel"
@@ -29,9 +30,14 @@ func TestLabelCtxMatchesLabel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		prev := parallel.SetWorkers(workers)
 		want := Label(v, Conn26, 2)
+		// The callback fires concurrently from the labelling lanes, so the
+		// furthest progress seen is tracked under a lock.
+		var mu sync.Mutex
 		var lastDone, lastTotal int
 		got, err := LabelCtx(context.Background(), v, Conn26, 2, func(done, total int) {
-			lastDone, lastTotal = done, total
+			mu.Lock()
+			defer mu.Unlock()
+			lastDone, lastTotal = max(lastDone, done), total
 		})
 		parallel.SetWorkers(prev)
 		if err != nil {

@@ -33,6 +33,7 @@ import (
 
 	"chaseci/internal/objstore"
 	"chaseci/internal/sim"
+	"chaseci/internal/tensor"
 )
 
 // Kind discriminates the payload encodings.
@@ -160,12 +161,26 @@ func EncodeVolume(d, h, w int, data []float32) ([]byte, error) {
 // EncodeMask encodes a binary volume 1 bit per voxel; non-zero values are
 // set bits.
 func EncodeMask(d, h, w int, data []float32) ([]byte, error) {
-	n, ok := voxels(d, h, w)
-	if !ok || len(data) != n {
+	if n, ok := voxels(d, h, w); !ok || len(data) != n {
 		return nil, fmt.Errorf("%w: mask %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
 	}
-	b := encodeHeader(KindMask, d, h, w, (n+7)/8)
-	return append(b, PackBits(data)...), nil
+	return encodeMaskBits(d, h, w, PackBits(data))
+}
+
+// encodeMaskBits encodes a mask already packed LSB-first (PackBits'
+// layout). The bits must be canonical: exactly ceil(d*h*w/8) bytes with
+// zero padding bits, so the encoding — and the content address — is the
+// one EncodeMask gives the same mask.
+func encodeMaskBits(d, h, w int, bits []byte) ([]byte, error) {
+	n, ok := voxels(d, h, w)
+	if !ok || len(bits) != (n+7)/8 {
+		return nil, fmt.Errorf("%w: mask %dx%dx%d with %d packed bytes", ErrBadEncoding, d, h, w, len(bits))
+	}
+	if rem := n % 8; rem != 0 && bits[len(bits)-1]>>rem != 0 {
+		return nil, fmt.Errorf("%w: non-zero padding bits past bit %d", ErrBadEncoding, n)
+	}
+	b := encodeHeader(KindMask, d, h, w, len(bits))
+	return append(b, bits...), nil
 }
 
 // EncodeCheckpoint encodes an opaque checkpoint byte string. The byte
@@ -307,17 +322,22 @@ type Info struct {
 
 // Config tunes a Manager.
 type Config struct {
-	// CacheBytes bounds the decoded-blob resolve cache (<= 0 = 128 MB).
+	// CacheBytes bounds the resolve cache — decoded blobs and their
+	// normalized twins together (<= 0 = 128 MB).
 	CacheBytes int
 }
 
 // Manager is the content-addressed dataset store: encoded blobs persist in
 // an objstore bucket (replicated, heal-on-OSD-loss — the Ceph/Rook layer),
-// and an LRU-bounded cache keeps recently resolved volumes decoded so a
-// client that uploads once and submits many jobs pays the decode once.
+// and an LRU-bounded cache keeps recently resolved volumes decoded — and,
+// once a job asks, normalized — so a client that uploads once and submits
+// many jobs pays the decode and the normalization once.
 // All methods are safe for concurrent use; the underlying objstore.Store is
-// single-threaded, so every touch goes through the manager's mutex.
+// single-threaded, so every touch goes through the manager's mutex. Decoding
+// and normalizing run outside it.
 type Manager struct {
+	decode func([]byte) (*Blob, error) // Decode; tests stall it
+
 	mu     sync.Mutex
 	mount  *objstore.Mount
 	meta   map[string]Info
@@ -335,7 +355,8 @@ type Manager struct {
 type cacheEntry struct {
 	id    string
 	blob  *Blob
-	bytes int
+	norm  []float32 // blob.Data z-scored (tensor.ZScore); nil until asked for
+	bytes int       // blob payload plus norm, charged to the cache budget
 }
 
 // NewManager builds a manager over a mount (one bucket of a store).
@@ -344,6 +365,7 @@ func NewManager(mount *objstore.Mount, cfg Config) *Manager {
 		cfg.CacheBytes = 128 << 20
 	}
 	return &Manager{
+		decode:        Decode,
 		mount:         mount,
 		meta:          make(map[string]Info),
 		owners:        make(map[string]map[string]bool),
@@ -537,7 +559,16 @@ func (m *Manager) PutVolume(d, h, w int, data []float32, owner string) (Info, er
 
 // PutMask encodes and stores a binary mask (1 bit/voxel).
 func (m *Manager) PutMask(d, h, w int, data []float32, owner string) (Info, error) {
-	enc, err := EncodeMask(d, h, w, data)
+	if n, ok := voxels(d, h, w); !ok || len(data) != n {
+		return Info{}, fmt.Errorf("%w: mask %dx%dx%d with %d values", ErrBadEncoding, d, h, w, len(data))
+	}
+	return m.PutMaskBits(d, h, w, PackBits(data), owner)
+}
+
+// PutMaskBits stores a mask already packed LSB-first (see encodeMaskBits):
+// the path for kernels that threshold straight into bits.
+func (m *Manager) PutMaskBits(d, h, w int, bits []byte, owner string) (Info, error) {
+	enc, err := encodeMaskBits(d, h, w, bits)
 	if err != nil {
 		return Info{}, err
 	}
@@ -561,28 +592,90 @@ func (m *Manager) GetBytes(id string) ([]byte, error) {
 // Resolve returns the decoded dataset, serving repeat resolves from the LRU
 // cache. The returned Blob is shared — read-only (see Blob.CloneData).
 func (m *Manager) Resolve(id string) (*Blob, error) {
+	blob, _, err := m.resolve(id)
+	return blob, err
+}
+
+// ResolveNormalized is Resolve plus the payload z-scored the way
+// (*ffn.Volume).Normalize would (tensor.ZScore, bit for bit). The twin is
+// memoized in the resolve cache entry on first use and charged to the same
+// CacheBytes budget, so a hot ref normalizes once per cache residency.
+// Both the blob and the twin are shared and read-only.
+func (m *Manager) ResolveNormalized(id string) (*Blob, []float32, error) {
+	blob, norm, err := m.resolve(id)
+	if err != nil || norm != nil {
+		return blob, norm, err
+	}
+	norm = make([]float32, len(blob.Data))
+	tensor.ZScore(norm, blob.Data)
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.cache[id]
+	if !ok {
+		return blob, norm, nil // evicted, deleted, or never cacheable
+	}
+	ent := el.Value.(*cacheEntry)
+	if ent.norm != nil {
+		return ent.blob, ent.norm, nil // a concurrent caller memoized first
+	}
+	if ent.blob == blob && ent.bytes+4*len(norm) <= m.cacheCapacity {
+		ent.norm = norm
+		ent.bytes += 4 * len(norm)
+		m.cacheBytes += 4 * len(norm)
+		m.lru.MoveToFront(el)
+		m.evictLocked()
+	}
+	return blob, norm, nil
+}
+
+// resolve returns the decoded blob and its memoized normalized twin (nil
+// when none is cached). A miss reads the encoding under m.mu — the store is
+// single-threaded — but decodes outside it, so hits, puts and visibility
+// checks proceed meanwhile. The decode is cached only if the id is still
+// live afterwards: a Delete that lands during the decode wins.
+func (m *Manager) resolve(id string) (*Blob, []float32, error) {
 	if !ValidID(id) {
-		return nil, fmt.Errorf("%w: %q", ErrBadID, id)
+		return nil, nil, fmt.Errorf("%w: %q", ErrBadID, id)
+	}
+	m.mu.Lock()
+	if blob, norm, ok := m.cachedLocked(id); ok {
+		m.mu.Unlock()
+		return blob, norm, nil
+	}
+	enc, err := m.mount.ReadFile(id)
+	m.mu.Unlock()
+	if errors.Is(err, objstore.ErrNotFound) {
+		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	blob, err := m.decode(enc)
+	if err != nil {
+		return nil, nil, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if el, ok := m.cache[id]; ok {
-		m.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).blob, nil
+	if cached, norm, ok := m.cachedLocked(id); ok {
+		return cached, norm, nil // a concurrent miss decoded first; share it
 	}
-	enc, err := m.mount.ReadFile(id)
-	if errors.Is(err, objstore.ErrNotFound) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	if _, live := m.meta[id]; live {
+		m.cacheLocked(id, blob)
 	}
-	if err != nil {
-		return nil, err
+	return blob, nil, nil
+}
+
+// cachedLocked looks id up in the resolve cache, marking it most recently
+// used. m.mu held.
+func (m *Manager) cachedLocked(id string) (*Blob, []float32, bool) {
+	el, ok := m.cache[id]
+	if !ok {
+		return nil, nil, false
 	}
-	blob, err := Decode(enc)
-	if err != nil {
-		return nil, err
-	}
-	m.cacheLocked(id, blob)
-	return blob, nil
+	m.lru.MoveToFront(el)
+	ent := el.Value.(*cacheEntry)
+	return ent.blob, ent.norm, true
 }
 
 // cacheLocked inserts a decoded blob and evicts LRU entries past the byte
@@ -594,6 +687,12 @@ func (m *Manager) cacheLocked(id string, blob *Blob) {
 	}
 	m.cache[id] = m.lru.PushFront(&cacheEntry{id: id, blob: blob, bytes: cost})
 	m.cacheBytes += cost
+	m.evictLocked()
+}
+
+// evictLocked drops least recently used entries until the cache fits its
+// byte budget. m.mu held.
+func (m *Manager) evictLocked() {
 	for m.cacheBytes > m.cacheCapacity {
 		el := m.lru.Back()
 		if el == nil {

@@ -83,10 +83,10 @@ func TestForwardBatchMatchesForwardInto(t *testing.T) {
 	}
 	net.forwardBatchInto(bs, k)
 
-	ref := net.newInferScratch()
+	pom := net.SeedPOM()
 	for i := 0; i < k; i++ {
 		s := seeds[i]
-		out := net.applyFOV(ref, img, s[0], s[1], s[2])
+		out := net.Apply(extractFOV(img, fov, s[0], s[1], s[2]), pom)
 		got := bs.out.Data[i*fovN:][:fovN]
 		for j := range out.Data {
 			if got[j] != out.Data[j] {

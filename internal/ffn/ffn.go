@@ -64,25 +64,58 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) validate() error {
+// Network geometry caps. Validate enforces them on every config — request
+// overrides and model files alike — so no input can ask for a network whose
+// weights or scratch buffers dwarf the data plane's volume cap (a MaxFOV^3
+// FOV at MaxFeatures channels is ~70 MB f32 per activation tensor).
+const (
+	MaxFOV      = 65
+	MaxFeatures = 256
+	MaxModules  = 16
+	// maxScratchElems bounds one batched-scratch activation tensor
+	// (FloodBatch x Features x FOV voxels): 64M float32 = 256 MB, the same
+	// ceiling the data plane puts on volumes.
+	maxScratchElems = 64 << 20
+)
+
+// Validate reports whether the config describes a network this package
+// will build: odd FOV dims, positive features and modules, every knob
+// within its cap, and the fov x features x flood batch scratch within
+// budget together. NewNetwork (and so Load) checks it before allocating.
+func (c *Config) Validate() error {
 	for _, d := range c.FOV {
-		if d <= 0 || d%2 == 0 {
-			return fmt.Errorf("ffn: FOV dims must be positive odd, got %v", c.FOV)
+		if d <= 0 || d%2 == 0 || d > MaxFOV {
+			return fmt.Errorf("ffn: fov dims must be positive odd <= %d, got %v", MaxFOV, c.FOV)
 		}
 	}
-	if c.Features <= 0 || c.Modules <= 0 {
-		return fmt.Errorf("ffn: Features/Modules must be positive")
+	if c.Features <= 0 || c.Features > MaxFeatures {
+		return fmt.Errorf("ffn: features must be in [1,%d], got %d", MaxFeatures, c.Features)
 	}
-	if c.MoveProb <= 0 || c.MoveProb >= 1 || c.SegmentProb <= 0 || c.SegmentProb >= 1 {
+	if c.Modules <= 0 || c.Modules > MaxModules {
+		return fmt.Errorf("ffn: modules must be in [1,%d], got %d", MaxModules, c.Modules)
+	}
+	for _, d := range c.MoveStep {
+		if d < 0 || d > MaxFOV {
+			return fmt.Errorf("ffn: move step must be in [0,%d], got %v", MaxFOV, c.MoveStep)
+		}
+	}
+	if !(c.MoveProb > 0 && c.MoveProb < 1 && c.SegmentProb > 0 && c.SegmentProb < 1) {
 		return fmt.Errorf("ffn: probabilities must be in (0,1)")
 	}
-	if c.FloodBatch < 0 {
-		return fmt.Errorf("ffn: FloodBatch must be non-negative, got %d", c.FloodBatch)
+	if c.FloodBatch < 0 || c.FloodBatch > MaxFloodBatch {
+		return fmt.Errorf("ffn: flood batch must be in [0,%d], got %d", MaxFloodBatch, c.FloodBatch)
 	}
 	switch c.Precision {
 	case "", PrecisionF32, PrecisionInt8:
 	default:
-		return fmt.Errorf("ffn: Precision must be %q or %q, got %q", PrecisionF32, PrecisionInt8, c.Precision)
+		return fmt.Errorf("ffn: precision must be %q or %q, got %q", PrecisionF32, PrecisionInt8, c.Precision)
+	}
+	// The individually capped knobs must also be bounded together: a config
+	// at every extreme would demand hundreds of GB of batched scratch. The
+	// division keeps the product from overflowing.
+	fovVol := c.FOV[0] * c.FOV[1] * c.FOV[2]
+	if fovVol > maxScratchElems/(c.Features*c.effectiveFloodBatch()) {
+		return fmt.Errorf("ffn: fov x features x flood batch implies a batched scratch over the %d-element limit", maxScratchElems)
 	}
 	return nil
 }
@@ -116,7 +149,7 @@ type Network struct {
 
 // NewNetwork initializes a model with He-initialized weights from seed.
 func NewNetwork(cfg Config, seed uint64) (*Network, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRNG(seed)

@@ -2,7 +2,8 @@ package ffn
 
 import (
 	"context"
-	"math"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"chaseci/internal/parallel"
@@ -32,27 +33,17 @@ func (v *Volume) Set(z, y, x int, val float32) { v.Data[(z*v.H+y)*v.W+x] = val }
 func (v *Volume) Size() int { return v.D * v.H * v.W }
 
 // Normalize scales the volume to zero mean, unit variance in place and
-// returns it (standard FFN input conditioning).
+// returns it (standard FFN input conditioning, tensor.ZScore).
 func (v *Volume) Normalize() *Volume {
-	n := float64(len(v.Data))
-	if n == 0 {
-		return v
-	}
-	var sum, sumsq float64
-	for _, x := range v.Data {
-		sum += float64(x)
-		sumsq += float64(x) * float64(x)
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	std := 1.0
-	if variance > 1e-12 {
-		std = math.Sqrt(variance)
-	}
-	for i := range v.Data {
-		v.Data[i] = float32((float64(v.Data[i]) - mean) / std)
-	}
+	tensor.ZScore(v.Data, v.Data)
 	return v
+}
+
+// Normalized returns a normalized copy of the volume, leaving v untouched.
+func (v *Volume) Normalized() *Volume {
+	out := NewVolume(v.D, v.H, v.W)
+	tensor.ZScore(out.Data, v.Data)
+	return out
 }
 
 // extractFOV copies the FOV centered at (cz, cy, cx) from a volume into a
@@ -94,42 +85,6 @@ type InferenceStats struct {
 	VoxelsTotal int
 }
 
-// inferScratch holds one flood-fill worker's reusable buffers: the FOV
-// image extract, the packed 2-channel input, the activation cache, and the
-// output logits. One scratch serves one goroutine.
-type inferScratch struct {
-	cache *fwdCache
-	pom   *tensor.Tensor
-	img   *tensor.Tensor // (1,D,H,W) FOV extract
-	in    *tensor.Tensor // (2,D,H,W) packed input
-	out   *tensor.Tensor // (1,D,H,W) output logits
-}
-
-func (n *Network) newInferScratch() *inferScratch {
-	d, h, w := n.cfg.FOV[0], n.cfg.FOV[1], n.cfg.FOV[2]
-	return &inferScratch{
-		cache: n.newCache(),
-		pom:   n.SeedPOM(),
-		img:   tensor.New(1, d, h, w),
-		in:    tensor.New(2, d, h, w),
-		out:   tensor.New(1, d, h, w),
-	}
-}
-
-// applyFOV runs one network application on the FOV centered at (cz, cy, cx),
-// reusing the scratch buffers. The returned tensor is s.out. Each
-// application is conditioned on a fresh seed POM (pad probability
-// everywhere, seed probability at the center) so the network sees exactly
-// the input distribution it was trained on; the canvas serves as the
-// aggregation buffer across FOVs. This is the single-step simplification of
-// FFN's recurrent POM, documented in DESIGN.md.
-func (n *Network) applyFOV(s *inferScratch, image *Volume, cz, cy, cx int) *tensor.Tensor {
-	extractFOVInto(s.img, image, n.cfg.FOV, cz, cy, cx)
-	packInputInto(s.in, s.img, s.pom)
-	n.forwardInto(s.cache, s.in, s.out)
-	return s.out
-}
-
 // mergeCore max-merges the core of an output FOV centered at p into canvas.
 // Only the central core of the FOV is merged: zero-padded convolution
 // borders make edge predictions unreliable, and strong object evidence
@@ -147,6 +102,29 @@ func mergeCore(canvas []float32, H, W int, fov [3]int, out []float32, pz, py, px
 			for x := mx; x < fov[2]-mx; x++ {
 				if v := row[x]; v > canvas[base+x0+x] {
 					canvas[base+x0+x] = v
+				}
+			}
+		}
+	}
+}
+
+// mergeCoreSparse is mergeCore over a canvas that is live only where
+// touched is set: a voxel's first touch initializes it to pad, the value a
+// dense canvas would hold there, before the max-merge.
+func mergeCoreSparse(canvas []float32, touched []bool, pad float32, H, W int, fov [3]int, out []float32, pz, py, px int) {
+	mz, my, mx := fov[0]/4, fov[1]/4, fov[2]/4
+	z0, y0, x0 := pz-fov[0]/2, py-fov[1]/2, px-fov[2]/2
+	for z := mz; z < fov[0]-mz; z++ {
+		for y := my; y < fov[1]-my; y++ {
+			base := ((z0+z)*H+y0+y)*W + x0
+			row := out[(z*fov[1]+y)*fov[2]:]
+			for x := mx; x < fov[2]-mx; x++ {
+				if !touched[base+x] {
+					touched[base+x] = true
+					canvas[base+x] = pad
+				}
+				if v := row[x]; v > canvas[base+x] {
+					canvas[base+x] = v
 				}
 			}
 		}
@@ -216,56 +194,106 @@ func (p *floodProgress) bump() {
 // applications; under the sharded flood it fires concurrently from multiple
 // workers, so the callback must be safe for concurrent use. With a
 // background context the mask and statistics are identical to Segment's.
+// It is the float-mask view of SegmentBits.
 func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int, maxSteps int, progress func(steps int)) (*Volume, InferenceStats, error) {
-	cfg := n.cfg
+	packed, stats, err := n.SegmentBits(ctx, image, seeds, maxSteps, progress)
+	mask := NewVolume(image.D, image.H, image.W)
+	for i, b := range packed {
+		for ; b != 0; b &= b - 1 { // padding bits are zero
+			mask.Data[8*i+bits.TrailingZeros8(b)] = 1
+		}
+	}
+	return mask, stats, err
+}
+
+// SegmentBits is SegmentCtx with the mask packed 1 bit per voxel,
+// LSB-first — the dataset codec's mask payload layout, so a mask can be
+// stored or returned inline without another pass over the volume. Bits
+// past the last voxel are zero.
+//
+// A bounded flood (maxSteps > 0) runs the serial FIFO flood on pooled
+// canvas and visited buffers and touches only its seeds and applied FOV
+// cores, so its cost does not grow with the volume beyond the packed mask
+// itself. An unbounded flood keeps dense per-call canvases, which the
+// sharded and batched paths need. Given a budget the flood never reaches,
+// both give the same mask and statistics. The network is only read, so
+// concurrent calls may share it once PrepareInference has run.
+func (n *Network) SegmentBits(ctx context.Context, image *Volume, seeds [][3]int, maxSteps int, progress func(steps int)) ([]byte, InferenceStats, error) {
 	stats := InferenceStats{VoxelsTotal: image.Size()}
-	keyOf := func(z, y, x int) int { return (z*image.H+y)*image.W + x }
 	var prog *floodProgress
 	if progress != nil {
 		prog = &floodProgress{fn: progress}
 	}
+	// Build the quantized weight cache before any fan-out: flood workers
+	// share it read-only.
+	n.PrepareInference()
+	var bits []byte
+	if maxSteps > 0 {
+		bits = n.segmentSparse(ctx, image, seeds, maxSteps, &stats, prog)
+	} else {
+		bits = n.segmentDense(ctx, image, seeds, &stats, prog)
+	}
+	// Report the final application count: the every-N cadence skips the
+	// tail (and short floods entirely), and the terminal progress should
+	// agree with the returned statistics.
+	if prog != nil {
+		progress(int(prog.steps.Load()))
+	}
+	return bits, stats, ctx.Err()
+}
 
-	// Accept in-bounds, deduplicated seeds; claimed doubles as the visited
-	// set for the flood (1 = already claimed by some flood).
-	claimed := make([]int32, image.Size())
+// PrepareInference builds the network's lazily derived inference state
+// (the int8 weight twin) up front. After it, SegmentBits and SegmentCtx
+// only read the network, so a cached network may serve concurrent jobs.
+// Training invalidates the state again.
+func (n *Network) PrepareInference() {
+	if n.int8Inference() {
+		n.quantized()
+	}
+}
+
+// acceptSeeds keeps the in-bounds, deduplicated seeds, claiming each in the
+// visited array (1 = already claimed by some flood).
+func (n *Network) acceptSeeds(image *Volume, seeds [][3]int, claimed []int32, stats *InferenceStats) []fovPos {
 	var accepted []fovPos
 	for _, s := range seeds {
-		if cfg.fovInBounds(image, s[0], s[1], s[2]) && claimed[keyOf(s[0], s[1], s[2])] == 0 {
-			claimed[keyOf(s[0], s[1], s[2])] = 1
+		key := (s[0]*image.H+s[1])*image.W + s[2]
+		if n.cfg.fovInBounds(image, s[0], s[1], s[2]) && claimed[key] == 0 {
+			claimed[key] = 1
 			accepted = append(accepted, fovPos{s[0], s[1], s[2]})
 			stats.SeedsUsed++
 		}
 	}
+	return accepted
+}
 
+// segmentDense is the unbounded flood over volume-sized canvases: serial,
+// batched, or sharded across workers (see Segment).
+func (n *Network) segmentDense(ctx context.Context, image *Volume, seeds [][3]int, stats *InferenceStats, prog *floodProgress) []byte {
+	cfg := n.cfg
+	claimed := make([]int32, image.Size())
+	accepted := n.acceptSeeds(image, seeds, claimed, stats)
 	moveLogit := logit(cfg.MoveProb)
 	padLogit := logit(cfg.PadProb)
 	seedLogit := logit(cfg.SeedProb)
 
-	// Build the quantized weight cache before any fan-out: flood workers
-	// share it read-only.
-	if n.int8Inference() {
-		n.quantized()
-	}
-
-	canvas := NewVolume(image.D, image.H, image.W)
-	for i := range canvas.Data {
-		canvas.Data[i] = padLogit
+	canvas := make([]float32, image.Size())
+	for i := range canvas {
+		canvas[i] = padLogit
 	}
 	for _, s := range accepted {
-		canvas.Data[keyOf(s.z, s.y, s.x)] = seedLogit
+		canvas[(s.z*image.H+s.y)*image.W+s.x] = seedLogit
 	}
 
 	shards := parallel.Ranges(len(accepted))
 	batch := cfg.effectiveFloodBatch()
-	if maxSteps > 0 {
-		// The bounded-step flood stays per-FOV FIFO, so which applications
-		// spend the budget is unchanged by the batch setting.
-		n.floodSerial(ctx, image, accepted, claimed, canvas.Data, moveLogit, maxSteps, &stats, prog)
-	} else if len(shards) <= 1 {
+	if len(shards) <= 1 {
 		if batch > 1 {
-			n.floodShardBatch(ctx, image, accepted, claimed, canvas.Data, moveLogit, &stats, prog)
+			n.floodShardBatch(ctx, image, accepted, claimed, canvas, moveLogit, stats, prog)
 		} else {
-			n.floodSerial(ctx, image, accepted, claimed, canvas.Data, moveLogit, 0, &stats, prog)
+			n.floodSerial(ctx, image, accepted, claimed, moveLogit, 0, stats, prog, func(out []float32, p fovPos) {
+				mergeCore(canvas, image.H, image.W, cfg.FOV, out, p.z, p.y, p.x)
+			})
 		}
 	} else {
 		// Worker-private canvases, max-reduced in shard order afterwards
@@ -288,8 +316,8 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 		})
 		for k := range canvases {
 			for i, v := range canvases[k] {
-				if v > canvas.Data[i] {
-					canvas.Data[i] = v
+				if v > canvas[i] {
+					canvas[i] = v
 				}
 			}
 			stats.Steps += shardStats[k].Steps
@@ -297,24 +325,115 @@ func (n *Network) SegmentCtx(ctx context.Context, image *Volume, seeds [][3]int,
 		}
 	}
 
-	// Report the final application count: the every-N cadence above skips
-	// the tail (and short floods entirely), and the terminal progress
-	// should agree with the returned statistics.
-	if prog != nil {
-		progress(int(prog.steps.Load()))
-	}
-
-	// Threshold the canvas into a binary mask. On cancellation this reports
-	// the partial flood: whatever cores were merged before the stop.
+	// Threshold the canvas into the packed mask. On cancellation this
+	// reports the partial flood: whatever cores were merged before the
+	// stop.
 	segLogit := logit(cfg.SegmentProb)
-	mask := NewVolume(image.D, image.H, image.W)
-	for i, v := range canvas.Data {
+	bits := make([]byte, (len(canvas)+7)/8)
+	for i, v := range canvas {
 		if v >= segLogit {
-			mask.Data[i] = 1
+			bits[i>>3] |= 1 << (i & 7)
 			stats.MaskVoxels++
 		}
 	}
-	return mask, stats, ctx.Err()
+	return bits
+}
+
+// sparseFlood is a bounded flood's volume-sized state. Between floods every
+// touched flag and claimed entry is zero: a flood resets exactly the
+// entries it set, so reuse costs nothing per voxel of the volume. canvas
+// values are meaningful only where touched is set.
+type sparseFlood struct {
+	canvas  []float32
+	touched []bool
+	claimed []int32
+}
+
+var sparseFloods sync.Pool // of *sparseFlood
+
+// getSparseFlood borrows clean state for a volume of n voxels.
+func getSparseFlood(n int) *sparseFlood {
+	if f, _ := sparseFloods.Get().(*sparseFlood); f != nil && cap(f.touched) >= n {
+		f.canvas, f.touched, f.claimed = f.canvas[:n], f.touched[:n], f.claimed[:n]
+		return f
+	}
+	return &sparseFlood{canvas: make([]float32, n), touched: make([]bool, n), claimed: make([]int32, n)}
+}
+
+// segmentSparse is the bounded flood. Untouched voxels hold the pad logit
+// implicitly: a voxel's canvas value is initialized when a seed or merged
+// core first touches it, and thresholding visits only touched voxels on
+// top of the pad logit's verdict for the rest of the volume.
+func (n *Network) segmentSparse(ctx context.Context, image *Volume, seeds [][3]int, maxSteps int, stats *InferenceStats, prog *floodProgress) []byte {
+	cfg := n.cfg
+	size := image.Size()
+	f := getSparseFlood(size)
+	H, W, fov := image.H, image.W, cfg.FOV
+	padLogit := logit(cfg.PadProb)
+	seedLogit := logit(cfg.SeedProb)
+
+	accepted := n.acceptSeeds(image, seeds, f.claimed, stats)
+	for _, s := range accepted {
+		k := (s.z*H+s.y)*W + s.x
+		f.touched[k] = true
+		f.canvas[k] = seedLogit
+	}
+	// The bounded-step flood stays per-FOV FIFO, so which applications
+	// spend the budget is unchanged by the batch setting.
+	queue := n.floodSerial(ctx, image, accepted, f.claimed, logit(cfg.MoveProb), maxSteps, stats, prog, func(out []float32, p fovPos) {
+		mergeCoreSparse(f.canvas, f.touched, padLogit, H, W, fov, out, p.z, p.y, p.x)
+	})
+
+	// Threshold into bits, clearing each touched flag as it is read. The
+	// pad logit decides every untouched voxel; a touched voxel flips its
+	// bit when its own verdict differs.
+	segLogit := logit(cfg.SegmentProb)
+	padSet := padLogit >= segLogit
+	bits := make([]byte, (size+7)/8)
+	if padSet {
+		for i := range bits {
+			bits[i] = 0xff
+		}
+		if rem := size % 8; rem != 0 {
+			bits[len(bits)-1] = 1<<rem - 1
+		}
+		stats.MaskVoxels = size
+	}
+	settle := func(k int) {
+		if !f.touched[k] {
+			return
+		}
+		f.touched[k] = false
+		if (f.canvas[k] >= segLogit) != padSet {
+			bits[k>>3] ^= 1 << (k & 7)
+			if padSet {
+				stats.MaskVoxels--
+			} else {
+				stats.MaskVoxels++
+			}
+		}
+	}
+	mz, my, mx := fov[0]/4, fov[1]/4, fov[2]/4
+	for i, p := range queue {
+		key := (p.z*H+p.y)*W + p.x
+		f.claimed[key] = 0
+		settle(key) // an unapplied seed's voxel is touched too
+		if i >= stats.Steps {
+			continue // claimed but never applied
+		}
+		z0, y0, x0 := p.z-fov[0]/2, p.y-fov[1]/2, p.x-fov[2]/2
+		for z := mz; z < fov[0]-mz; z++ {
+			for y := my; y < fov[1]-my; y++ {
+				base := ((z0+z)*H+y0+y)*W + x0
+				for x := mx; x < fov[2]-mx; x++ {
+					settle(base + x)
+				}
+			}
+		}
+	}
+	// Returned only once clean: a flood that panics drops its state.
+	sparseFloods.Put(f)
+	return bits
 }
 
 // moveOffsets returns the six move-target displacements (center +/-
@@ -330,24 +449,25 @@ func (cfg *Config) moveOffsets() [6][3]int {
 
 // floodSerial is the single-goroutine flood: a multi-source BFS over FOV
 // centers with an optional step budget and cooperative cancellation checked
-// before every application.
-func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos, claimed []int32, canvas []float32, moveLogit float32, maxSteps int, stats *InferenceStats, prog *floodProgress) {
+// before every application. merge folds each application's output into the
+// caller's canvas. It returns every claimed center in FIFO order: the
+// seeds first, and the first stats.Steps entries are the applied ones.
+func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos, claimed []int32, moveLogit float32, maxSteps int, stats *InferenceStats, prog *floodProgress, merge func(out []float32, p fovPos)) []fovPos {
 	cfg := n.cfg
-	ap := n.newFOVApplier()
-	defer ap.release()
+	s := n.getBatchScratch()
+	defer n.putBatchScratch(s)
 	offsets := cfg.moveOffsets()
 	queue := append([]fovPos(nil), seeds...)
-	for len(queue) > 0 {
+	for head := 0; head < len(queue); head++ {
 		if maxSteps > 0 && stats.Steps >= maxSteps {
 			break
 		}
 		if ctx.Err() != nil {
-			return
+			break
 		}
-		p := queue[0]
-		queue = queue[1:]
-		out := ap.apply(image, p)
-		mergeCore(canvas, image.H, image.W, cfg.FOV, out, p.z, p.y, p.x)
+		p := queue[head]
+		out := n.forwardOne(s, image, p)
+		merge(out, p)
 		stats.Steps++
 		prog.bump()
 
@@ -372,6 +492,7 @@ func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos
 			stats.Moves++
 		}
 	}
+	return queue
 }
 
 // floodShard floods one worker's seed shard, claiming centers through the
@@ -379,8 +500,8 @@ func (n *Network) floodSerial(ctx context.Context, image *Volume, seeds []fovPos
 // Cancellation is checked before every application, as in floodSerial.
 func (n *Network) floodShard(ctx context.Context, image *Volume, seeds []fovPos, claimed []int32, canvas []float32, moveLogit float32, stats *InferenceStats, prog *floodProgress) {
 	cfg := n.cfg
-	ap := n.newFOVApplier()
-	defer ap.release()
+	s := n.getBatchScratch()
+	defer n.putBatchScratch(s)
 	offsets := cfg.moveOffsets()
 	queue := append([]fovPos(nil), seeds...)
 	for len(queue) > 0 {
@@ -389,7 +510,7 @@ func (n *Network) floodShard(ctx context.Context, image *Volume, seeds []fovPos,
 		}
 		p := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		out := ap.apply(image, p)
+		out := n.forwardOne(s, image, p)
 		mergeCore(canvas, image.H, image.W, cfg.FOV, out, p.z, p.y, p.x)
 		stats.Steps++
 		prog.bump()

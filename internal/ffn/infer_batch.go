@@ -23,8 +23,8 @@ import (
 // DefaultFloodBatch is the FOV batch size used when Config.FloodBatch is 0.
 const DefaultFloodBatch = 8
 
-// MaxFloodBatch caps the batch (and therefore the batched scratch size).
-// The api schema layer enforces the same cap at validation time.
+// MaxFloodBatch caps the batch (and therefore the batched scratch size);
+// Config.Validate rejects larger values.
 const MaxFloodBatch = 256
 
 // effectiveFloodBatch resolves the configured batch size.
@@ -71,6 +71,15 @@ func (n *Network) newBatchScratch() *batchScratch {
 		copy(s.in.Data[(2*b+1)*fovN:(2*b+2)*fovN], pom.Data)
 	}
 	return s
+}
+
+// InferenceBytes is the memory one flood worker needs from the network: its
+// weights plus one batched scratch. A cache of shared networks charges it
+// per entry, since a shared network keeps its idle scratches between jobs.
+func (n *Network) InferenceBytes() int {
+	fov := n.cfg.FOV
+	perSlot := (2 + 3*n.cfg.Features + 1) * fov[0] * fov[1] * fov[2] // in, x0/x1/hid, out
+	return 4 * (n.ParamCount() + n.cfg.effectiveFloodBatch()*perSlot)
 }
 
 // maxIdleBatchScratch bounds the network's idle scratch list: enough for a
@@ -120,6 +129,32 @@ func (n *Network) forwardBatchInto(s *batchScratch, k int) {
 	tensor.Conv3DBatchInto(s.out, cur, n.wOut, n.bOut, k)
 }
 
+// forwardBatch runs the batched forward pass over the first k slots in the
+// network's inference precision.
+func (n *Network) forwardBatch(s *batchScratch, k int) {
+	if n.int8Inference() {
+		n.forwardBatchQInto(s, k)
+	} else {
+		n.forwardBatchInto(s, k)
+	}
+}
+
+// forwardOne runs one network application on the FOV centered at p through
+// slot 0 of the batch scratch and returns the logit FOV, valid until the
+// scratch's next use. Each application is conditioned on the constant seed
+// POM (pad probability everywhere, seed probability at the center) so the
+// network sees exactly the input distribution it was trained on; the
+// canvas serves as the aggregation buffer across FOVs. This is the
+// single-step simplification of FFN's recurrent POM, documented in
+// DESIGN.md.
+func (n *Network) forwardOne(s *batchScratch, image *Volume, p fovPos) []float32 {
+	fov := n.cfg.FOV
+	fovN := fov[0] * fov[1] * fov[2]
+	extractFOVIntoSlice(s.in.Data[:fovN], image, fov, p.z, p.y, p.x)
+	n.forwardBatch(s, 1)
+	return s.out.Data[:fovN]
+}
+
 // floodShardBatch floods one worker's seed shard in batches of up to B FOV
 // positions, claiming centers through the shared atomic visited array and
 // max-merging output cores into canvas (worker-private under the sharded
@@ -148,11 +183,7 @@ func (n *Network) floodShardBatch(ctx context.Context, image *Volume, seeds []fo
 		for i, p := range s.pos {
 			extractFOVIntoSlice(s.in.Data[2*i*fovN:][:fovN], image, fov, p.z, p.y, p.x)
 		}
-		if n.int8Inference() {
-			n.forwardBatchQInto(s, k)
-		} else {
-			n.forwardBatchInto(s, k)
-		}
+		n.forwardBatch(s, k)
 		for i, p := range s.pos {
 			out := s.out.Data[i*fovN:][:fovN]
 			mergeCore(canvas, image.H, image.W, fov, out, p.z, p.y, p.x)

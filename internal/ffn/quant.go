@@ -41,8 +41,9 @@ type quantModule struct {
 func (n *Network) int8Inference() bool { return n.cfg.Precision == PrecisionInt8 }
 
 // quantized returns the cached quantized weights, building them on first
-// use. Not safe for concurrent first call — SegmentCtx builds it before
-// fanning out flood workers.
+// use. Not safe for concurrent first call — SegmentBits builds it before
+// fanning out flood workers, and PrepareInference before a network is
+// shared between concurrent floods.
 func (n *Network) quantized() *quantNet {
 	if n.qn == nil {
 		qn := &quantNet{wIn: tensor.QuantizeWeights(n.wIn)}
@@ -73,45 +74,4 @@ func (n *Network) forwardBatchQInto(s *batchScratch, k int) {
 		cur, nxt = nxt, cur
 	}
 	tensor.Conv3DBatchInto(s.out, cur, n.wOut, n.bOut, k)
-}
-
-// fovApplier abstracts one-FOV network application over the active
-// precision: the f32 path uses the per-worker inferScratch, the int8 path
-// drives the first slot of a pooled batchScratch through the quantized
-// batched forward. One applier serves one goroutine.
-type fovApplier struct {
-	n  *Network
-	s  *inferScratch // f32 path
-	bs *batchScratch // int8 path (slot 0)
-}
-
-func (n *Network) newFOVApplier() *fovApplier {
-	a := &fovApplier{n: n}
-	if n.int8Inference() {
-		a.bs = n.getBatchScratch()
-	} else {
-		a.s = n.newInferScratch()
-	}
-	return a
-}
-
-// apply runs the network on the FOV centered at p and returns the logit
-// FOV, valid until the next apply call.
-func (a *fovApplier) apply(image *Volume, p fovPos) []float32 {
-	if a.bs != nil {
-		fov := a.n.cfg.FOV
-		fovN := fov[0] * fov[1] * fov[2]
-		extractFOVIntoSlice(a.bs.in.Data[:fovN], image, fov, p.z, p.y, p.x)
-		a.n.forwardBatchQInto(a.bs, 1)
-		return a.bs.out.Data[:fovN]
-	}
-	return a.n.applyFOV(a.s, image, p.z, p.y, p.x).Data
-}
-
-// release returns pooled resources (the int8 path's batch scratch).
-func (a *fovApplier) release() {
-	if a.bs != nil {
-		a.n.putBatchScratch(a.bs)
-		a.bs = nil
-	}
 }

@@ -42,29 +42,46 @@ func synthIVTVolume(ctx context.Context, jc *JobContext, sy *api.SynthSpec, stag
 }
 
 // sourceVolume materializes a job's input volume: a resolve of its dataset
-// ref, a copy of the inline data, or the synthetic IVT volume (time-major,
-// like ffn.Volume). Every form yields a private buffer the handler may
-// mutate (Normalize works in place).
-func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource) (*ffn.Volume, error) {
-	if src.Ref != "" {
+// ref, the inline data, or the synthetic IVT volume (time-major, like
+// ffn.Volume). The volume is read-only — a resolved ref shares the data
+// plane's cached decode and inline data is the request's own slice — so no
+// handler pays a copy for it. With normalize set it also returns the
+// z-scored image the FFN consumes, equally read-only: for a ref, the data
+// plane's normalized twin, computed once per cache residency; otherwise a
+// normalized copy.
+func sourceVolume(ctx context.Context, jc *JobContext, src *api.VolumeSource, normalize bool) (raw, image *ffn.Volume, err error) {
+	switch {
+	case src.Ref != "":
 		jc.Progress(0, 1, "resolve")
-		blob, err := jc.Datasets().Resolve(src.Ref)
+		var blob *dataset.Blob
+		var norm []float32
+		if normalize {
+			blob, norm, err = jc.Datasets().ResolveNormalized(src.Ref)
+		} else {
+			blob, err = jc.Datasets().Resolve(src.Ref)
+		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		jc.Progress(1, 1, "resolve")
-		return &ffn.Volume{D: blob.D, H: blob.H, W: blob.W, Data: blob.CloneData()}, nil
-	}
-	if src.Synth != nil {
+		raw = &ffn.Volume{D: blob.D, H: blob.H, W: blob.W, Data: blob.Data}
+		if normalize {
+			image = &ffn.Volume{D: blob.D, H: blob.H, W: blob.W, Data: norm}
+		}
+		return raw, image, nil
+	case src.Synth != nil:
 		vol, err := synthIVTVolume(ctx, jc, src.Synth, "synthesize")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &ffn.Volume{D: src.Synth.Steps, H: src.Synth.NLat, W: src.Synth.NLon, Data: vol.Data}, nil
+		raw = &ffn.Volume{D: src.Synth.Steps, H: src.Synth.NLat, W: src.Synth.NLon, Data: vol.Data}
+	default:
+		raw = &ffn.Volume{D: src.D, H: src.H, W: src.W, Data: src.Data}
 	}
-	v := ffn.NewVolume(src.D, src.H, src.W)
-	copy(v.Data, src.Data)
-	return v, nil
+	if normalize {
+		image = raw.Normalized()
+	}
+	return raw, image, nil
 }
 
 // thresholdVolume builds the binary mask raw >= threshold.
@@ -78,50 +95,25 @@ func thresholdVolume(raw *ffn.Volume, threshold float32) *ffn.Volume {
 	return out
 }
 
-// netConfig maps an optional api.NetConfig onto ffn defaults.
-func netConfig(nc *api.NetConfig) ffn.Config {
-	cfg := ffn.DefaultConfig()
-	if nc == nil {
-		return cfg
-	}
-	if nc.FOV != [3]int{} {
-		cfg.FOV = nc.FOV
-	}
-	if nc.Features > 0 {
-		cfg.Features = nc.Features
-	}
-	if nc.Modules > 0 {
-		cfg.Modules = nc.Modules
-	}
-	if nc.MoveStep != [3]int{} {
-		cfg.MoveStep = nc.MoveStep
-	}
-	if nc.MoveProb > 0 {
-		cfg.MoveProb = nc.MoveProb
-	}
-	if nc.SegmentProb > 0 {
-		cfg.SegmentProb = nc.SegmentProb
-	}
-	if nc.FloodBatch > 0 {
-		cfg.FloodBatch = nc.FloodBatch
-	}
-	if nc.Precision != "" {
-		cfg.Precision = ffn.Precision(nc.Precision)
-	}
-	return cfg
-}
-
 // SegmentHandler runs FFN flood-fill segmentation: optional pretraining on
-// the thresholded source, seed selection, then SegmentCtx. A cancelled
-// flood still returns the partial mask statistics alongside ctx.Err().
+// the thresholded source, seed selection, then SegmentBits. A job that does
+// not train runs on the runner's shared network for its (config, seed) and
+// on the source's cached normalized twin, so a ref-mode job does no
+// volume-sized work beyond its flood and mask. A cancelled flood still
+// returns the partial mask statistics alongside ctx.Err().
 func SegmentHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Segment
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	raw, image, err := sourceVolume(jc.Ctx(), jc, &spec.Source, true)
 	if err != nil {
 		return nil, err
 	}
-	cfg := netConfig(spec.Net)
-	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
+	cfg := spec.Net.FFNConfig()
+	var net *ffn.Network
+	if spec.TrainSteps > 0 {
+		net, err = ffn.NewNetwork(cfg, spec.NetSeed) // training mutates it
+	} else {
+		net, err = jc.runner.nets.get(cfg, spec.NetSeed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +131,6 @@ func SegmentHandler(jc *JobContext) (any, error) {
 		}
 		seeds = ffn.GridSeeds(raw, cfg.FOV, stride, spec.Threshold)
 	}
-	image := raw.Normalize()
 
 	res := api.SegmentResult{}
 	if spec.TrainSteps > 0 {
@@ -160,7 +151,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	}
 
 	jc.Progress(0, 0, "segment")
-	mask, stats, segErr := net.SegmentCtx(jc.Ctx(), image, seeds, spec.MaxSteps,
+	bits, stats, segErr := net.SegmentBits(jc.Ctx(), image, seeds, spec.MaxSteps,
 		func(steps int) { jc.Progress(int64(steps), 0, "segment") })
 	res.Steps = stats.Steps
 	res.Moves = stats.Moves
@@ -168,9 +159,9 @@ func SegmentHandler(jc *JobContext) (any, error) {
 	res.MaskVoxels = stats.MaskVoxels
 	res.VoxelsTotal = stats.VoxelsTotal
 	if spec.ReturnMask {
-		res.D, res.H, res.W = mask.D, mask.H, mask.W
+		res.D, res.H, res.W = image.D, image.H, image.W
 		if jc.RefMode() && segErr == nil {
-			info, err := jc.Datasets().PutMask(mask.D, mask.H, mask.W, mask.Data, jc.Owner())
+			info, err := jc.Datasets().PutMaskBits(image.D, image.H, image.W, bits, jc.Owner())
 			if err != nil {
 				return res, err
 			}
@@ -178,7 +169,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 		} else {
 			// Inline (and cancelled-partial) masks travel 1-bit packed:
 			// ~32x smaller on the wire than the float array they replace.
-			res.MaskBits = dataset.PackBits(mask.Data)
+			res.MaskBits = bits
 		}
 	}
 	return res, segErr
@@ -187,7 +178,7 @@ func SegmentHandler(jc *JobContext) (any, error) {
 // LabelHandler thresholds the source and runs CONNECT labelling.
 func LabelHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Label
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	raw, _, err := sourceVolume(jc.Ctx(), jc, &spec.Source, false)
 	if err != nil {
 		return nil, err
 	}
@@ -281,12 +272,12 @@ func IVTHandler(jc *JobContext) (any, error) {
 // evaluation unit sweep jobs fan out over.
 func TrainHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().Train
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	raw, image, err := sourceVolume(jc.Ctx(), jc, &spec.Source, true)
 	if err != nil {
 		return nil, err
 	}
 	labels := thresholdVolume(raw, spec.Threshold)
-	cfg := netConfig(spec.Net)
+	cfg := spec.Net.FFNConfig()
 
 	holdout := spec.HoldoutSteps
 	var testSeeds [][3]int
@@ -300,7 +291,6 @@ func TrainHandler(jc *JobContext) (any, error) {
 		_, _, testRaw, _ := ffn.Split(raw, labels, raw.D-holdout)
 		testSeeds = ffn.GridSeeds(testRaw, cfg.FOV, [3]int{1, 4, 4}, spec.Threshold)
 	}
-	image := raw.Normalize()
 	trainImg, trainLbl := image, labels
 	var testImg, testLbl *ffn.Volume
 	if holdout > 0 {

@@ -129,7 +129,7 @@ func PipelineHandler(jc *JobContext) (any, error) {
 	}
 	slabs := (sy.Steps + slabSteps - 1) / slabSteps
 
-	cfg := netConfig(spec.Net)
+	cfg := spec.Net.FFNConfig()
 	net, err := ffn.NewNetwork(cfg, spec.NetSeed)
 	if err != nil {
 		return nil, err

@@ -11,7 +11,6 @@ import (
 
 	"chaseci/internal/api"
 	"chaseci/internal/dataset"
-	"chaseci/internal/ffn"
 )
 
 // pipelineRequest builds a pipeline job over a deterministic synthetic
@@ -210,28 +209,29 @@ func TestPipelineCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestAPIScratchAssumptionsMatchKernelDefaults pins the kernel defaults the
-// pure-schema api package assumes in NetConfig.validate's batched-scratch
-// budget (api must not import ffn, so the agreement is enforced here, where
-// both packages are visible). If this fails, update the literals in
-// api.NetConfig.validate alongside the kernel change.
-func TestAPIScratchAssumptionsMatchKernelDefaults(t *testing.T) {
-	cfg := ffn.DefaultConfig()
-	if cfg.FOV != [3]int{5, 9, 9} || cfg.Features != 8 || ffn.DefaultFloodBatch != 8 {
-		t.Fatalf("ffn defaults (FOV %v, Features %d, FloodBatch %d) drifted from the values api.NetConfig.validate assumes",
-			cfg.FOV, cfg.Features, ffn.DefaultFloodBatch)
-	}
-	if ffn.MaxFloodBatch != 256 {
-		t.Fatalf("ffn.MaxFloodBatch = %d, but api caps flood_batch at 256", ffn.MaxFloodBatch)
-	}
-	// And the budget itself must reject the all-extremes corner.
-	bad := &api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{
-		Source: api.VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8)},
-		Seeds:  [][3]int{{1, 1, 1}}, MaxSteps: 1,
-		Net: &api.NetConfig{FOV: [3]int{65, 65, 65}, Features: 256, FloodBatch: 256},
-	}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("all-extremes net config passed validation")
+// TestAPINetValidationMatchesKernel requires submit-time validation to
+// accept exactly the network overrides the kernel builds: the api maps a
+// NetConfig onto ffn defaults and defers to ffn.Config.Validate, so a job
+// that passes submit never fails NewNetwork, and the all-extremes scratch
+// corner is refused by both.
+func TestAPINetValidationMatchesKernel(t *testing.T) {
+	for _, nc := range []*api.NetConfig{
+		nil, {},
+		{FOV: [3]int{65, 65, 65}}, {Features: 256}, {FloodBatch: 256}, {Modules: 16},
+		{FOV: [3]int{65, 65, 65}, Features: 256, FloodBatch: 256},
+		{FOV: [3]int{67, 9, 9}}, {FOV: [3]int{4, 9, 9}}, {Features: 257}, {Modules: 17},
+		{MoveStep: [3]int{0, 66, 1}}, {MoveProb: 1}, {SegmentProb: 0.04},
+		{FloodBatch: 257}, {Precision: "int8"}, {Precision: "fp16"},
+	} {
+		req := &api.JobRequest{Kind: api.KindSegment, Segment: &api.SegmentSpec{
+			Source: api.VolumeSource{D: 2, H: 2, W: 2, Data: make([]float32, 8)},
+			Seeds:  [][3]int{{1, 1, 1}}, MaxSteps: 1, Net: nc,
+		}}
+		cfg := nc.FFNConfig()
+		apiErr, kernelErr := req.Validate(), cfg.Validate()
+		if (apiErr == nil) != (kernelErr == nil) {
+			t.Errorf("net %+v: api says %v, kernel says %v", nc, apiErr, kernelErr)
+		}
 	}
 }
 

@@ -274,6 +274,7 @@ type Runner struct {
 	reg      *Registry
 	store    *queue.Store
 	datasets *dataset.Manager
+	nets     *netCache // untrained networks shared by inference jobs
 
 	// poolWorkers sizes every pool. A single-node runner dispatches through
 	// local alone. In cluster mode (local nil) sched places jobs on fabric
@@ -366,6 +367,7 @@ func newRunnerCore(reg *Registry, store *queue.Store, ds *dataset.Manager, cfg R
 		reg:        reg,
 		store:      store,
 		datasets:   ds,
+		nets:       newNetCache(),
 		pools:      make(map[string]*nodePool),
 		retries:    newRetryState(),
 		shards:     shards,

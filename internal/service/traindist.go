@@ -41,12 +41,11 @@ func putCheckpoint(jc *JobContext, refs *pipeRefs, t *ffn.DistTrainer) (string, 
 // identical re-run re-creates the same content-addressed refs.
 func TrainDistHandler(jc *JobContext) (any, error) {
 	spec := jc.Request().TrainDist
-	raw, err := sourceVolume(jc.Ctx(), jc, &spec.Source)
+	raw, image, err := sourceVolume(jc.Ctx(), jc, &spec.Source, true)
 	if err != nil {
 		return nil, err
 	}
 	labels := thresholdVolume(raw, spec.Threshold)
-	image := raw.Normalize()
 
 	var t *ffn.DistTrainer
 	res := api.TrainDistResult{}
@@ -77,7 +76,7 @@ func TrainDistHandler(jc *JobContext) (any, error) {
 		if momentum == 0 {
 			momentum = 0.9
 		}
-		net, err := ffn.NewNetwork(netConfig(spec.Net), spec.NetSeed)
+		net, err := ffn.NewNetwork(spec.Net.FFNConfig(), spec.NetSeed)
 		if err != nil {
 			return nil, err
 		}

@@ -108,6 +108,33 @@ func (t *Tensor) Scale(s float32) {
 	}
 }
 
+// ZScore writes src scaled to zero mean and unit variance into dst (the
+// standard FFN input conditioning); dst may alias src. The moments are
+// sequential float64 sums, so every caller — the FFN's in-place
+// Normalize and the data plane's cached normalized twins — produces the
+// same bits for the same input.
+func ZScore(dst, src []float32) {
+	n := float64(len(src))
+	if n == 0 {
+		return
+	}
+	var sum, sumsq float64
+	for _, x := range src {
+		sum += float64(x)
+		sumsq += float64(x) * float64(x)
+	}
+	mean := sum / n
+	variance := sumsq/n - mean*mean
+	std := 1.0
+	if variance > 1e-12 {
+		std = math.Sqrt(variance)
+	}
+	dst = dst[:len(src)]
+	for i, x := range src {
+		dst[i] = float32((float64(x) - mean) / std)
+	}
+}
+
 // --- Volumetric (C, D, H, W) layout helpers --------------------------------
 
 // vIdx computes the flat index of (c, z, y, x) in a (C,D,H,W) tensor.
